@@ -10,6 +10,10 @@ B = TypeVar("B")
 
 
 def default_jobs() -> int:
+    """The number of CPUs this process may run on: its affinity set where the
+    platform reports one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

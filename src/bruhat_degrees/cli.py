@@ -30,8 +30,17 @@ from .reconstruct import ValidationFailure, reconstruct
 from .perm import InvalidPermutationError, parse_permutation
 
 
+class _JobsAction(argparse.Action):
+    """Store a --jobs value, rejecting counts below 1 with one line on stderr."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values < 1:
+            parser.exit(2, f"error: {option_string} must be >= 1, got {values}\n")
+        setattr(namespace, self.dest, values)
+
+
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=int, default=None, action=_JobsAction,
                         help="worker processes (default: all cores)")
 
 
@@ -198,9 +207,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs if args.jobs is not None else default_jobs(),
     )
-    if args.max_n > extremal.MAX_EXHAUSTIVE_N:
+    if args.max_n > stats.MAX_EXHAUSTIVE_N:
         raise ValueError(
-            f"--max-n {args.max_n} exceeds the exhaustive limit {extremal.MAX_EXHAUSTIVE_N}")
+            f"--max-n {args.max_n} exceeds the exhaustive limit {stats.MAX_EXHAUSTIVE_N}")
     results = verification.run_all(opts)
     sys.stdout.write(verification.render_report(results))
     return 0 if all(r.passed for r in results) else 1

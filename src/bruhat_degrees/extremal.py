@@ -10,18 +10,17 @@ two-block permutations [m+1..n, 1..m] and their images under reversal,
 first/last entry exchange, and exchange of the values 1 and n; the orbit
 has size 2, 4, 8 or 16 depending on n.
 
-``brute_force_max`` rederives both facts by scanning all of S_n, split into
-contiguous lexicographic blocks so the scan parallelizes deterministically.
+``brute_force_max`` rederives both facts by scanning all of S_n with
+``stats.exhaustive``, the depth-first insertion-tree engine, whose blocks
+are subtrees merged in a fixed order, so the result does not depend on the
+number of workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bruhat
-from ._parallel import map_blocks
-from .perm import Permutation, _rank_block_prefixes, _value_tuples
-
-MAX_EXHAUSTIVE_N = 9
+from . import bruhat, stats
+from .perm import Permutation
 
 _STATS = ("down", "total", "rth")
 
@@ -101,33 +100,12 @@ def extremal_total_permutations(n: int) -> list[Permutation]:
         closure = grown
 
 
-def _scan_max_block(args: tuple[int, tuple[int, ...], str, int]) -> tuple[int, list[tuple[int, ...]]]:
-    n, prefix, stat, r = args
-    best = -1
-    hits: list[tuple[int, ...]] = []
-    if stat == "down":
-        stat_fn = bruhat._down_degree_word
-    elif stat == "total":
-        down, up = bruhat._down_degree_word, bruhat._up_degree_word
-        stat_fn = lambda w: down(w) + up(w)
-    else:
-        stat_fn = lambda w: bruhat._rth_down_degree_word(w, r)
-    for w in _value_tuples(n, prefix):
-        d = stat_fn(w)
-        if d > best:
-            best = d
-            hits = [w]
-        elif d == best:
-            hits.append(w)
-    return best, hits
-
-
 def brute_force_max(
     n: int,
     stat: str = "down",
     r: int | None = None,
     jobs: int | None = 1,
-    limit: int = MAX_EXHAUSTIVE_N,
+    limit: int = stats.MAX_EXHAUSTIVE_N,
 ) -> tuple[int, list[Permutation]]:
     """Exact maximum of a degree statistic over S_n with all attaining
     permutations, by full enumeration.
@@ -147,9 +125,5 @@ def brute_force_max(
         raise ValueError(
             f"n={n} exceeds the exhaustive limit {limit} ({n}! permutations); "
             "pass a larger limit to override")
-    depth = 0 if (jobs == 1 or n < 4) else 2
-    blocks = [(n, prefix, stat, r or 0) for prefix in _rank_block_prefixes(n, depth)]
-    results = map_blocks(_scan_max_block, blocks, jobs)
-    best = max(b for b, _ in results)
-    attaining = sorted(w for b, hits in results if b == best for w in hits)
-    return best, [Permutation(w) for w in attaining]
+    scan = stats.exhaustive(n, stat, r=r, jobs=jobs)
+    return scan.maximum, [Permutation(w) for w in scan.attaining]

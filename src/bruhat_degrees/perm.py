@@ -389,19 +389,9 @@ def random_permutation(n: int, seed: int | random.Random) -> Permutation:
     return Permutation(tuple(vals))
 
 
-def _value_tuples(n: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Raw value tuples, lexicographic, restricted to a fixed prefix.
+def _value_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Raw value tuples of S_n in lexicographic order.
 
-    Internal hot-path enumeration; each prefix addresses a contiguous block
-    of lexicographic ranks, which is how exhaustive scans are partitioned
-    across workers.
+    Internal hot-path enumeration for the word scans; no wrapper objects.
     """
-    rest = [v for v in range(1, n + 1) if v not in prefix]
-    for tail in itertools.permutations(rest):
-        yield prefix + tail
-
-
-def _rank_block_prefixes(n: int, depth: int) -> list[tuple[int, ...]]:
-    """Lexicographically ordered prefixes of the given depth covering all of S_n."""
-    depth = max(0, min(depth, n))
-    return list(itertools.permutations(range(1, n + 1), depth))
+    return itertools.permutations(range(1, n + 1))

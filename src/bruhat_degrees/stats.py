@@ -16,13 +16,25 @@ left-to-right maxima of the suffix following i, and the left-to-right
 maxima statistic over S_t has generating polynomial (q)(q+1)...(q+t-1).
 Both facts are re-checkable from this module (``check_increment_lemma``,
 ``ltrm_counts``).
+
+The same identity drives ``exhaustive``, the one engine behind every exact
+scan of S_n (``distribution``, ``exhaustive_mean`` and
+``extremal.brute_force_max``).  It walks the insertion tree depth first,
+inserting 1, 2, ..., n in turn, and carries the statistic down the path:
+the up degree grows by the right-to-left maxima of the prefix before the
+new letter, and the r-th down degree by the later letters with fewer than
+r larger values between the new letter and them.  The word scans of
+``bruhat`` stay the independent oracle for the engine.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +42,6 @@ from . import bruhat
 from ._parallel import map_blocks
 from .perm import (
     Permutation,
-    _rank_block_prefixes,
     _value_tuples,
     ltr_maxima,
     standardize_word,
@@ -38,6 +49,8 @@ from .perm import (
 )
 
 MAX_EXHAUSTIVE_N = 9
+
+_BLOCK_DEPTH = 4  # parallel exhaustive blocks: the 24 subtrees below S_4
 
 _MC_BLOCK = 20_000
 
@@ -176,20 +189,140 @@ class Histogram:
                           separators=(",", ":"))
 
 
-def _distribution_block(args: tuple[int, tuple[int, ...], str, int]) -> dict[int, int]:
-    n, prefix, stat, r = args
-    counts: dict[int, int] = {}
-    if stat == "down":
-        stat_fn = bruhat._down_degree_word
-    elif stat == "total":
-        down, up = bruhat._down_degree_word, bruhat._up_degree_word
-        stat_fn = lambda w: down(w) + up(w)
-    else:
-        stat_fn = lambda w: bruhat._rth_down_degree_word(w, r)
-    for w in _value_tuples(n, prefix):
-        d = stat_fn(w)
-        counts[d] = counts.get(d, 0) + 1
-    return counts
+class ExhaustiveScan(NamedTuple):
+    """One pass over all of S_n: the histogram of a statistic, its maximum,
+    and the words attaining the maximum in lexicographic order."""
+
+    histogram: Histogram
+    maximum: int
+    attaining: list[tuple[int, ...]]
+
+
+def _down_increments(w: Sequence[int]) -> list[int]:
+    """inc[j] = left-to-right maxima of w[j:], for every slot 0 <= j <= len(w):
+    the down-degree gain when len(w)+1 is inserted before position j."""
+    inc = [0]
+    stack: list[int] = []  # the left-to-right maxima of the suffix, first on top
+    for v in reversed(w):
+        while stack and stack[-1] < v:
+            stack.pop()
+        stack.append(v)
+        inc.append(len(stack))
+    inc.reverse()
+    return inc
+
+
+def _total_increments(w: Sequence[int]) -> list[int]:
+    """Down-degree gains plus up-degree gains, the right-to-left maxima of
+    w[:j], for every slot j."""
+    inc = _down_increments(w)
+    stack: list[int] = []  # the right-to-left maxima of the prefix, last on top
+    for j, v in enumerate(w, 1):
+        while stack and stack[-1] < v:
+            stack.pop()
+        stack.append(v)
+        inc[j] += len(stack)
+    return inc
+
+
+def _rth_increments(w: Sequence[int], r: int) -> list[int]:
+    """The r-th degree gain for every slot: the inserted maximum b = len(w)+1
+    gains t_{a,b} for each later a with fewer than r larger values between
+    the slot and a, so a counts for the slots after its r-th nearest earlier
+    larger value."""
+    diff = [0] * (len(w) + 2)
+    for q, a in enumerate(w):
+        p = q - 1
+        larger = 0
+        while p >= 0:
+            if w[p] > a:
+                larger += 1
+                if larger == r:
+                    break
+            p -= 1
+        diff[p + 1] += 1
+        diff[q + 1] -= 1
+    return list(itertools.accumulate(diff[:-1]))
+
+
+def _increment_fn(stat: str, r: int) -> Callable[[Sequence[int]], list[int]]:
+    if stat == "down" or (stat == "rth" and r == 1):
+        return _down_increments
+    if stat == "total":
+        return _total_increments
+    return functools.partial(_rth_increments, r=r)
+
+
+def _insertion_nodes(length: int, increments: Callable[[Sequence[int]], list[int]]
+                     ) -> list[tuple[tuple[int, ...], int]]:
+    """The insertion-tree nodes with words of the given length, in slot order,
+    each with its statistic (0 on the root word (1,))."""
+    nodes = [((1,), 0)]
+    for m in range(2, length + 1):
+        nodes = [(w[:j] + (m,) + w[j:], value + d)
+                 for w, value in nodes for j, d in enumerate(increments(w))]
+    return nodes
+
+
+def _exhaustive_block(args: tuple[int, str, int, tuple[int, ...], int]
+                      ) -> tuple[list[int], int, list[tuple[int, ...]]]:
+    """Depth-first walk of the subtree below one node: inserting m before
+    position j adds increments(w)[j] to the statistic of w, so leaves are
+    counted without being built, except those that reach the running maximum."""
+    n, stat, r, root, value = args
+    increments = _increment_fn(stat, r)
+    counts = [0] * (n * (n - 1) // 2 + 1)  # every statistic is at most C(n, 2)
+    if len(root) == n:
+        counts[value] += 1
+        return counts, value, [root]
+    w = list(root)
+    best = -1
+    hits: list[tuple[int, ...]] = []
+
+    def walk(value: int) -> None:
+        nonlocal best, hits
+        inc = increments(w)
+        m = len(w) + 1
+        if m < n:
+            for j, d in enumerate(inc):
+                w.insert(j, m)
+                walk(value + d)
+                del w[j]
+            return
+        for d in inc:
+            counts[value + d] += 1
+        top = max(inc)
+        if value + top >= best:
+            if value + top > best:
+                best, hits = value + top, []
+            hits.extend(tuple(w[:j]) + (m,) + tuple(w[j:])
+                        for j, d in enumerate(inc) if d == top)
+
+    walk(value)
+    return counts, best, hits
+
+
+def exhaustive(n: int, stat: str = "down", r: int | None = None,
+               jobs: int | None = 1) -> ExhaustiveScan:
+    """Histogram, maximum and attaining words of a statistic over all of S_n,
+    in one depth-first pass over the insertion tree.
+
+    Inserting n into a word on {1..n-1} raises the down degree by the
+    left-to-right maxima of the suffix after it and the up degree by the
+    right-to-left maxima of the prefix before it; no existing cover changes.
+    All increments of a node come from one stack pass, so no leaf is scanned.
+    With jobs != 1 the subtrees below the words of length 4 are the blocks.
+    """
+    label = _check_stat(n, stat, r)
+    increments = _increment_fn(stat, r or 0)
+    depth = 1 if (jobs == 1 or n < 4) else min(n - 1, _BLOCK_DEPTH)
+    blocks = [(n, stat, r or 0, w, value) for w, value in _insertion_nodes(depth, increments)]
+    parts = map_blocks(_exhaustive_block, blocks, jobs)
+    counts = [sum(column) for column in zip(*(c for c, _, _ in parts))]
+    best = max(b for _, b, _ in parts)
+    attaining = sorted(w for _, b, hits in parts if b == best for w in hits)
+    histogram = Histogram(n=n, stat=label, counts={v: c for v, c in enumerate(counts) if c})
+    return ExhaustiveScan(histogram, best, attaining)
 
 
 def distribution(
@@ -200,17 +333,11 @@ def distribution(
     limit: int = MAX_EXHAUSTIVE_N,
 ) -> Histogram:
     """Exact distribution of a degree statistic over all n! permutations."""
-    label = _check_stat(n, stat, r)
+    _check_stat(n, stat, r)
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the exhaustive limit {limit}; pass a larger limit to override")
-    depth = 0 if (jobs == 1 or n < 4) else 2
-    blocks = [(n, prefix, stat, r or 0) for prefix in _rank_block_prefixes(n, depth)]
-    merged: dict[int, int] = {}
-    for part in map_blocks(_distribution_block, blocks, jobs):
-        for v, c in part.items():
-            merged[v] = merged.get(v, 0) + c
-    return Histogram(n=n, stat=label, counts=merged)
+    return exhaustive(n, stat, r=r, jobs=jobs).histogram
 
 
 def exhaustive_mean(n: int, stat: str = "down", r: int | None = None,

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from bruhat_degrees import bruhat, verification
+from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import main
 from bruhat_degrees.perm import Permutation, Transposition
@@ -238,3 +240,28 @@ class TestVerify:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "down=2 up=0 total=2 inv=3\n"
+
+
+class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ["distribution", "3", "--jobs", "0"],
+        ["sample", "8", "--seed", "1", "--jobs", "-3"],
+        ["verify", "--max-n", "2", "--jobs", "0"],
+    ])
+    def test_below_one_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --jobs must be >= 1, got {argv[-1]}\n"
+
+    def test_one_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "distribution", "3", "--jobs", "1")
+        assert code == 0
+        assert out == '{"n":3,"stat":"down","counts":{"0":1,"1":2,"2":3}}\n'
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_default_is_the_affinity_set(self):
+        assert default_jobs() == len(os.sched_getaffinity(0))
