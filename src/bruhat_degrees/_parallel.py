@@ -17,6 +17,13 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def block_sizes(total: int, size: int) -> list[int]:
+    """Sizes of the consecutive blocks that split total items into runs of
+    at most size; only the last block may be smaller."""
+    full, rest = divmod(max(total, 0), size)
+    return [size] * full + ([rest] if rest else [])
+
+
 def map_blocks(fn: Callable[[A], B], blocks: Sequence[A], jobs: int | None) -> list[B]:
     """Apply fn to each block; results come back in block order regardless of
     scheduling, so any downstream reduction is deterministic."""

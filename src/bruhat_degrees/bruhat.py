@@ -11,8 +11,11 @@ strictly between them hold values strictly between a and b; equivalently
 0 > inv(t_{a,b} p) - inv(p) > -2r.  The r = 1 case gives the covers, and
 r = n-1 gives all inversions.
 
-All positional scans here are O(n^2); the inversion-number route
-(``length_change``) is retained as an independent oracle for tests.
+Each statistic has one positional scan, O(n^2), that lists its pairs:
+``_down_pairs_word`` (covers), ``_up_pairs_word`` (up-edges) and
+``_descent_pairs_word`` (r-th strong descents); the degrees are the lengths
+of those lists.  The inversion-number route (``length_change``) and the
+numpy prefix-sum table (``between_counts``) are kept as independent oracles.
 """
 from __future__ import annotations
 
@@ -24,9 +27,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .perm import Permutation, Transposition, apply_transposition_left
-
-# above this size, set construction goes through the vectorized scan
-_NUMPY_MIN_N = 32
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class StrongDescentSet:
         return iter(self.members)
 
     def __contains__(self, t: object) -> bool:
-        return t in set(self.members)
+        return t in self.members
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(t.a, t.b) for t in self.members]
@@ -92,49 +92,33 @@ class StrongDescentSet:
 
     @classmethod
     def from_json(cls, text: str) -> "StrongDescentSet":
-        payload = json.loads(text)
-        members = tuple(Transposition.of(a, b) for a, b in payload["members"])
-        return cls(int(payload["n"]), int(payload["r"]), members)
+        (n, r), pairs = _json_fields(text, ("n", "r"), "members")
+        return cls(n, r, tuple(Transposition.of(a, b) for a, b in pairs))
+
+
+def _json_fields(text: str, ints: tuple[str, ...], pairs: str
+                 ) -> tuple[list[int], list[tuple[int, int]]]:
+    """The integer fields and the list of integer pairs of a JSON object.
+
+    Anything else (a missing key, a member that is not a pair, a float or a
+    bool where an integer belongs) raises ValueError.
+    """
+    payload = json.loads(text)
+    keys = (*ints, pairs)
+    if not isinstance(payload, dict) or any(key not in payload for key in keys):
+        raise ValueError(f"expected a JSON object with the keys {', '.join(keys)}")
+    items = payload[pairs]
+    if not isinstance(items, list) or not all(
+            isinstance(item, list) and len(item) == 2 for item in items):
+        raise ValueError(f"{pairs!r} must be a list of [a, b] pairs")
+    for value in [payload[key] for key in ints] + [v for item in items for v in item]:
+        if type(value) is not int:
+            raise ValueError(f"expected an integer, got {value!r}")
+    return [payload[key] for key in ints], [(a, b) for a, b in items]
 
 
 # ---------------------------------------------------------------------------
-# hot word-level scans (tuples of values, no wrapper objects)
-
-def _down_degree_word(w: Sequence[int]) -> int:
-    n = len(w)
-    total = 0
-    for i in range(n - 1):
-        b = w[i]
-        if b == 1:
-            continue
-        best = 0
-        for k in range(i + 1, n):
-            a = w[k]
-            if a < b and a > best:
-                total += 1
-                if a == b - 1:
-                    break
-                best = a
-    return total
-
-
-def _up_degree_word(w: Sequence[int]) -> int:
-    n = len(w)
-    total = 0
-    for i in range(n - 1):
-        b = w[i]
-        if b == n:
-            continue
-        best = n + 1
-        for k in range(i + 1, n):
-            a = w[k]
-            if a > b and a < best:
-                total += 1
-                if a == b + 1:
-                    break
-                best = a
-    return total
-
+# word-level scans (tuples of values, no wrapper objects), one per statistic
 
 def _down_pairs_word(w: Sequence[int]) -> list[tuple[int, int]]:
     """Pairs (a, b) with t_{a,b} a strong descent (r = 1)."""
@@ -192,25 +176,8 @@ def _descent_pairs_word(w: Sequence[int], r: int) -> list[tuple[int, int]]:
     return out
 
 
-def _rth_down_degree_word(w: Sequence[int], r: int) -> int:
-    n = len(w)
-    total = 0
-    for i in range(n - 1):
-        b = w[i]
-        if b == 1:
-            continue
-        below: list[int] = []
-        for k in range(i + 1, n):
-            a = w[k]
-            if a < b:
-                if len(below) - bisect_right(below, a) < r:
-                    total += 1
-                insort(below, a)
-    return total
-
-
 # ---------------------------------------------------------------------------
-# vectorized pair scan
+# prefix-sum oracle
 
 def between_counts(p: Permutation | Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """For every value pair, the number of strictly-between values positioned
@@ -237,16 +204,6 @@ def between_counts(p: Permutation | Sequence[int]) -> tuple[np.ndarray, np.ndarr
     lower = values[:, None]  # values <= a
     counts = (prefix[hi, upper] - prefix[lo + 1, upper]) - (prefix[hi, lower] - prefix[lo + 1, lower])
     return counts, pos
-
-
-def _descent_pairs_numpy(p: Permutation, r: int) -> list[tuple[int, int]]:
-    counts, pos = between_counts(p)
-    n = p.n
-    values = np.arange(1, n + 1)
-    inverted = pos[values][None, :] < pos[values][:, None]  # pos(b) < pos(a)
-    mask = np.triu(np.ones((n, n), dtype=bool), 1) & inverted & (counts < r)
-    return [(int(a) + 1, int(b) + 1) for a, b in np.argwhere(mask)]
-
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -287,11 +244,11 @@ def covers_of(p: Permutation) -> list[Permutation]:
 
 
 def down_degree(p: Permutation) -> int:
-    return _down_degree_word(p.values)
+    return len(_down_pairs_word(p.values))
 
 
 def up_degree(p: Permutation) -> int:
-    return _up_degree_word(p.values)
+    return len(_up_pairs_word(p.values))
 
 
 def total_degree(p: Permutation) -> DegreeProfile:
@@ -304,25 +261,19 @@ def strong_descent_set(p: Permutation, r: int = 1) -> StrongDescentSet:
     The positional criterion and the length-window criterion
     (0 > length_change > -2r) agree; tests check this exhaustively.
     """
-    _check_order(p.n, r)
-    if p.n >= _NUMPY_MIN_N:
-        pairs = _descent_pairs_numpy(p, r)
-    elif r == 1:
-        pairs = _down_pairs_word(p.values)
-    else:
-        pairs = _descent_pairs_word(p.values, r)
-    members = tuple(Transposition(a, b) for a, b in sorted(pairs))
-    return StrongDescentSet(n=p.n, r=r, members=members)
+    pairs = _rth_pairs(p, r)
+    return StrongDescentSet(n=p.n, r=r, members=tuple(map(Transposition._make, pairs)))
 
 
 def rth_down_degree(p: Permutation, r: int) -> int:
     """Cardinality of the r-th strong descent set."""
+    return len(_rth_pairs(p, r))
+
+
+def _rth_pairs(p: Permutation, r: int) -> list[tuple[int, int]]:
+    # at r = 1 the cover scan lists the same pairs without the bisect bookkeeping
     _check_order(p.n, r)
-    if r == 1:
-        return _down_degree_word(p.values)
-    if p.n >= _NUMPY_MIN_N:
-        return len(_descent_pairs_numpy(p, r))
-    return _rth_down_degree_word(p.values, r)
+    return _down_pairs_word(p.values) if r == 1 else _descent_pairs_word(p.values, r)
 
 
 def _check_order(n: int, r: int) -> None:

@@ -200,6 +200,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     sampled = tuple(int(tok) for tok in str(args.sampled_n).split(",") if tok.strip())
+    if any(n < 3 for n in sampled):
+        raise ValueError(f"--sampled-n sizes must be >= 3, got {args.sampled_n}")
     opts = verification.VerifyOptions(
         max_n=args.max_n,
         sampled_n=sampled,

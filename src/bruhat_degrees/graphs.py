@@ -198,8 +198,8 @@ class LabeledGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "LabeledGraph":
-        payload = json.loads(text)
-        return cls.from_edges(int(payload["n"]), [tuple(e) for e in payload["edges"]])
+        (n,), edges = bruhat._json_fields(text, ("n",), "edges")
+        return cls.from_edges(n, edges)
 
 
 def is_complete_multipartite(g: LabeledGraph) -> tuple[bool, list[list[int]] | None]:

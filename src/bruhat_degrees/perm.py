@@ -216,10 +216,6 @@ def parse_permutation(text: str) -> Permutation:
     return from_one_line(values)
 
 
-def format_permutation(p: Permutation) -> str:
-    return str(p)
-
-
 # ---------------------------------------------------------------------------
 # inversions
 
@@ -262,10 +258,6 @@ def _inversion_number_quadratic(vals: Sequence[int]) -> int:
     # reference implementation, kept as the oracle for the merge count
     n = len(vals)
     return sum(1 for i in range(n) for k in range(i + 1, n) if vals[i] > vals[k])
-
-
-def inversion_number(p: Permutation) -> int:
-    return p.inversion_number()
 
 
 # ---------------------------------------------------------------------------

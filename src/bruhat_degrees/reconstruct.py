@@ -35,8 +35,9 @@ def reconstruct(n: int, descents: StrongDescentSet) -> Permutation:
         raise ValueError(f"descent set carries n={descents.n}, expected {n}")
     if descents.r != 1:
         raise ValueError(f"reconstruction needs r=1, got r={descents.r}")
-    p = _build(n, descents.pairs())
-    if bruhat.strong_descent_set(p, 1).members != descents.members:
+    pairs = descents.pairs()
+    p = _build(n, pairs)
+    if sorted(bruhat._down_pairs_word(p.values)) != pairs:
         raise ValidationFailure(
             f"set of {len(descents)} transpositions is not realizable in S_{n}")
     return p

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import bruhat
-from ._parallel import map_blocks
+from ._parallel import block_sizes, map_blocks
 from .perm import (
     Permutation,
     _value_tuples,
@@ -311,11 +311,12 @@ def exhaustive(n: int, stat: str = "down", r: int | None = None,
     left-to-right maxima of the suffix after it and the up degree by the
     right-to-left maxima of the prefix before it; no existing cover changes.
     All increments of a node come from one stack pass, so no leaf is scanned.
-    With jobs != 1 the subtrees below the words of length 4 are the blocks.
+    With jobs != 1 and n >= 8 the subtrees below the words of length 4 are
+    the blocks; below n = 8 starting the pool costs more than the whole scan.
     """
     label = _check_stat(n, stat, r)
     increments = _increment_fn(stat, r or 0)
-    depth = 1 if (jobs == 1 or n < 4) else min(n - 1, _BLOCK_DEPTH)
+    depth = 1 if (jobs == 1 or n < 8) else _BLOCK_DEPTH
     blocks = [(n, stat, r or 0, w, value) for w, value in _insertion_nodes(depth, increments)]
     parts = map_blocks(_exhaustive_block, blocks, jobs)
     counts = [sum(column) for column in zip(*(c for c, _, _ in parts))]
@@ -432,14 +433,8 @@ def monte_carlo_mean(
     _check_stat(n, stat, r)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    blocks = []
-    index = 0
-    remaining = samples
-    while remaining > 0:
-        take = min(_MC_BLOCK, remaining)
-        blocks.append((n, stat, r or 0, seed, index, take))
-        index += 1
-        remaining -= take
+    blocks = [(n, stat, r or 0, seed, index, take)
+              for index, take in enumerate(block_sizes(samples, _MC_BLOCK))]
     parts = map_blocks(_mc_block, blocks, jobs)
     count = sum(c for c, _, _ in parts)
     s1 = sum(s for _, s, _ in parts)

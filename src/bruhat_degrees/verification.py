@@ -18,12 +18,12 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 from . import bruhat, extremal, graphs, stats
-from ._parallel import map_blocks
+from ._parallel import block_sizes, map_blocks
 from .reconstruct import is_realizable, reconstruct
 from .perm import (
     Permutation,
@@ -33,6 +33,8 @@ from .perm import (
     longest_decreasing_subsequence,
     longest_element,
 )
+
+T = TypeVar("T")
 
 EXAMPLE_PERM = (7, 9, 5, 2, 3, 8, 4, 1, 6)
 EXAMPLE_DESCENTS_R1 = (
@@ -80,6 +82,20 @@ def _perms(n: int) -> Iterable[Permutation]:
 
 def _sample_matrix(n: int, count: int, seed: int, tag: int) -> np.ndarray:
     return stats.random_permutation_matrix(n, count, (seed, tag))
+
+
+def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
+    """compute(), once per verify run: the result is kept on the options
+    object, so the checks that need the same expensive value share it."""
+    memo = vars(opts).setdefault("_memo", {})
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _brute_force_max(opts: VerifyOptions, n: int, stat: str) -> tuple[int, list[Permutation]]:
+    return _per_run(opts, ("max", n, stat),
+                    lambda: extremal.brute_force_max(n, stat, jobs=opts.jobs))
 
 
 def _fail(detail: str) -> tuple[bool, str]:
@@ -297,7 +313,7 @@ def check_top_order_is_inversions(opts: VerifyOptions) -> tuple[bool, str]:
 def check_max_down_degree(opts: VerifyOptions) -> tuple[bool, str]:
     """Brute-force maximum of the down degree equals floor(n^2/4)."""
     for n in range(2, opts.max_n + 1):
-        best, _ = extremal.brute_force_max(n, "down", jobs=opts.jobs)
+        best, _ = _brute_force_max(opts, n, "down")
         if best != extremal.max_down_degree(n):
             return _fail(f"max down degree over S_{n} is {best}")
     return _ok(f"2<=n<={opts.max_n}")
@@ -307,7 +323,7 @@ def check_extremal_down_classification(opts: VerifyOptions) -> tuple[bool, str]:
     """The attaining set of the down-degree maximum is exactly the generated
     three-block family, with the predicted count and structure."""
     for n in range(2, opts.max_n + 1):
-        _, attaining = extremal.brute_force_max(n, "down", jobs=opts.jobs)
+        _, attaining = _brute_force_max(opts, n, "down")
         family = extremal.extremal_down_permutations(n)
         if attaining != family:
             return _fail(f"attaining set differs from the family at n={n}")
@@ -327,7 +343,7 @@ def check_extremal_down_classification(opts: VerifyOptions) -> tuple[bool, str]:
 def check_max_total_degree(opts: VerifyOptions) -> tuple[bool, str]:
     """Brute-force maximum of the total degree equals floor(n^2/4) + n - 2."""
     for n in range(2, opts.max_n + 1):
-        best, _ = extremal.brute_force_max(n, "total", jobs=opts.jobs)
+        best, _ = _brute_force_max(opts, n, "total")
         if best != extremal.max_total_degree(n):
             return _fail(f"max total degree over S_{n} is {best}")
     return _ok(f"2<=n<={opts.max_n}")
@@ -338,7 +354,7 @@ def check_extremal_total_classification(opts: VerifyOptions) -> tuple[bool, str]
     two-block permutations under the three involutions, with counts
     2 / 4 / 8 / 16."""
     for n in range(2, opts.max_n + 1):
-        _, attaining = extremal.brute_force_max(n, "total", jobs=opts.jobs)
+        _, attaining = _brute_force_max(opts, n, "total")
         family = extremal.extremal_total_permutations(n)
         if attaining != family:
             return _fail(f"attaining set differs from the closure at n={n}")
@@ -628,14 +644,8 @@ def structural_sample_check(
     n: int, samples: int, seed: int, jobs: int | None = 1, spot: int = 5,
 ) -> dict[str, tuple[bool, str]]:
     """Run the five structural lemma checks on random samples at degree n."""
-    blocks = []
-    index = 0
-    remaining = samples
-    while remaining > 0:
-        take = min(2000, remaining)
-        blocks.append((n, seed, 500 + index, take, spot if index == 0 else 0))
-        index += 1
-        remaining -= take
+    blocks = [(n, seed, 500 + index, take, spot if index == 0 else 0)
+              for index, take in enumerate(block_sizes(samples, 2000))]
     merged = {key: (True, "") for key in _SWEEP_KEYS}
     for part in map_blocks(_structural_block, blocks, jobs):
         for key, (ok, detail) in part.items():
@@ -645,17 +655,19 @@ def structural_sample_check(
 
 
 def _structural_samples(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
-    # cache on the options object; several checks share one sweep
-    cached = getattr(opts, "_sweep_cache", None)
-    if cached is None:
-        cached = {key: (True, "no sampled sizes requested") for key in _SWEEP_KEYS}
-        for n in opts.sampled_n:
-            part = structural_sample_check(n, opts.samples, opts.seed, opts.jobs)
-            for key, (ok, detail) in part.items():
-                if key not in cached or (cached[key][0] and not ok):
-                    cached[key] = (ok, detail)
-        object.__setattr__(opts, "_sweep_cache", cached)
-    return cached
+    """The sampled sweep over every size in opts.sampled_n; several checks
+    share it, so it runs once per verify run."""
+    return _per_run(opts, "sweep", lambda: _sweep(opts))
+
+
+def _sweep(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
+    merged = {key: (True, "no sampled sizes requested") for key in _SWEEP_KEYS}
+    for n in opts.sampled_n:
+        part = structural_sample_check(n, opts.samples, opts.seed, opts.jobs)
+        for key, (ok, detail) in part.items():
+            if key not in merged or (merged[key][0] and not ok):
+                merged[key] = (ok, detail)
+    return merged
 
 
 # ---------------------------------------------------------------------------

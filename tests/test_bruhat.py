@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bruhat_degrees.bruhat import (
     DegreeProfile,
     StrongDescentSet,
-    _descent_pairs_numpy,
     _descent_pairs_word,
+    between_counts,
     covered_by,
     covers_of,
     down_degree,
@@ -195,12 +195,17 @@ class TestStrongDescentSets:
 
     @pytest.mark.parametrize("n", [8, 31, 32, 33, 40, 64, 100])
     def test_scan_and_vectorized_paths_agree(self, n):
+        # the word scans against the prefix-sum table: (a, b) with b before a
+        # and fewer than r values between them in both position and value
         rng = random.Random(n)
         for _ in range(5):
             p = random_permutation(n, rng)
+            counts, pos = between_counts(p)
             for r in {1, 2, n // 2, n - 1}:
-                assert sorted(_descent_pairs_word(p.values, r)) == sorted(
-                    _descent_pairs_numpy(p, r))
+                table = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                         if pos[b] < pos[a] and counts[a - 1, b - 1] < r]
+                assert sorted(_descent_pairs_word(p.values, r)) == table
+                assert strong_descent_set(p, r).pairs() == table
 
 
 class TestLengthChange:
@@ -229,6 +234,14 @@ class TestSerialization:
         descents = strong_descent_set(from_one_line([3, 4, 1, 2]), 1)
         assert descents.to_text() == "t(1,3) t(1,4) t(2,3) t(2,4)"
         assert StrongDescentSet.from_text(4, 1, descents.to_text()) == descents
+
+    def test_contains(self):
+        descents = strong_descent_set(EXAMPLE, 1)
+        assert Transposition(4, 8) in descents
+        assert (5, 9) in descents
+        assert (4, 9) not in descents
+        assert Transposition(4, 9) not in descents
+        assert "t(4,8)" not in descents
 
     def test_members_sorted_and_deduplicated(self):
         s = StrongDescentSet(3, 1, (Transposition(2, 3), Transposition(1, 2),

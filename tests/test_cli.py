@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bruhat_degrees import bruhat, verification
+from bruhat_degrees import bruhat, extremal, verification
 from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import main
@@ -234,6 +234,19 @@ class TestVerify:
         assert report["triangle-free-descent-graph"] == "FAIL"
         assert report["worked-examples"] == "FAIL"
 
+    def test_each_maximum_computed_once(self, monkeypatch):
+        calls = []
+        real = extremal.brute_force_max
+
+        def counted(n, stat, **kwargs):
+            calls.append((n, stat))
+            return real(n, stat, **kwargs)
+
+        monkeypatch.setattr(extremal, "brute_force_max", counted)
+        opts = verification.VerifyOptions(max_n=4, sampled_n=(), samples=10)
+        assert all(res.passed for res in verification.run_all(opts))
+        assert sorted(calls) == [(n, stat) for n in (2, 3, 4) for stat in ("down", "total")]
+
     def test_entry_point_via_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bruhat_degrees.cli", "degrees", "[3,2,1]"],
@@ -265,3 +278,30 @@ class TestJobs:
                         reason="no CPU affinity on this platform")
     def test_default_is_the_affinity_set(self):
         assert default_jobs() == len(os.sched_getaffinity(0))
+
+
+class TestInputBoundaries:
+    @pytest.mark.parametrize("text,message", [
+        ('{"n":3}', "keys n, r, members"),
+        ('{"n":3,"r":1,"members":[1,2]}', "pairs"),
+        ('{"n":3,"r":1,"members":[[1.0,2]]}', "integer, got 1.0"),
+        ('{"n":3,"r":1,"members":[[true,2]]}', "integer, got True"),
+        ('{"n":"3","r":1,"members":[]}', "integer, got '3'"),
+        ('{"n":3,"r":1,"members":[[1,2,3]]}', "pairs"),
+        ('{"n":3,"r":1,"members":{"1":2}}', "pairs"),
+    ])
+    def test_malformed_descent_json_exits_two(self, capsys, tmp_path, text, message):
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "reconstruct", "3", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("sizes", ["1", "2", "40,2"])
+    def test_sampled_n_below_three_is_a_usage_error(self, capsys, sizes):
+        code, out, err = run_cli(capsys, "verify", "--max-n", "2", "--sampled-n", sizes)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --sampled-n sizes must be >= 3, got {sizes}\n"

@@ -1,8 +1,8 @@
 """The insertion-tree engine against the per-permutation word scans.
 
 ``stats.exhaustive`` never scans a permutation: it adds up increments along
-the insertion tree.  The word scans of ``bruhat`` are the independent side
-here (the closed-form mean rests on the same increment lemma as the engine,
+the insertion tree.  The word scans of ``bruhat``, whose pair lists give the
+degrees as their lengths, are the independent side here (the closed-form mean rests on the same increment lemma as the engine,
 so it cannot vouch for it).
 """
 import functools
@@ -10,10 +10,22 @@ import functools
 import pytest
 
 from bruhat_degrees import stats
-from bruhat_degrees.bruhat import _down_degree_word, _rth_down_degree_word, _up_degree_word
+from bruhat_degrees.bruhat import _descent_pairs_word, _down_pairs_word, _up_pairs_word
 from bruhat_degrees.perm import _value_tuples, ltr_maxima
 
 MAX_N = 8
+
+
+def down(w):
+    return len(_down_pairs_word(w))
+
+
+def up(w):
+    return len(_up_pairs_word(w))
+
+
+def rth(w, r):
+    return len(_descent_pairs_word(w, r))
 
 
 def _cases(n):
@@ -28,11 +40,11 @@ def scanned(n):
     values = {}
     for stat, r in _cases(n):
         if stat == "down":
-            values[stat, r] = [_down_degree_word(w) for w in words]
+            values[stat, r] = [down(w) for w in words]
         elif stat == "total":
-            values[stat, r] = [_down_degree_word(w) + _up_degree_word(w) for w in words]
+            values[stat, r] = [down(w) + up(w) for w in words]
         else:
-            values[stat, r] = [_rth_down_degree_word(w, r) for w in words]
+            values[stat, r] = [rth(w, r) for w in words]
     return words, values
 
 
@@ -71,16 +83,30 @@ def test_increment_identities_on_all_of_s_n(n):
     for p in _value_tuples(n):
         j = p.index(n)
         w = p[:j] + p[j + 1:]
-        down = stats._down_increments(w)
-        up = [t - d for t, d in zip(stats._total_increments(w), down)]
-        assert up[j] == _up_degree_word(p) - _up_degree_word(w)
-        assert up[j] == ltr_maxima(reversed(w[:j]))
-        assert down[j] == _down_degree_word(p) - _down_degree_word(w)
+        down_gain = stats._down_increments(w)
+        up_gain = [t - d for t, d in zip(stats._total_increments(w), down_gain)]
+        assert up_gain[j] == up(p) - up(w)
+        assert up_gain[j] == ltr_maxima(reversed(w[:j]))
+        assert down_gain[j] == down(p) - down(w)
         for r in range(1, n):
             gain = stats._rth_increments(w, r)[j]
-            assert gain == _rth_down_degree_word(p, r) - _rth_down_degree_word(w, r)
+            assert gain == rth(p, r) - rth(w, r)
             assert gain == sum(1 for q in range(j, n - 1)
                                if sum(1 for c in w[j:q] if c > w[q]) < r)
+
+
+def test_pool_starts_only_from_n_8(monkeypatch):
+    blocks_seen = []
+    real = stats.map_blocks
+
+    def counted(fn, blocks, jobs):
+        blocks_seen.append(len(blocks))
+        return real(fn, blocks, jobs)
+
+    monkeypatch.setattr(stats, "map_blocks", counted)
+    stats.exhaustive(7, "down", jobs=2)
+    stats.exhaustive(8, "down", jobs=2)
+    assert blocks_seen == [1, 24]
 
 
 def test_validation_matches_distribution():

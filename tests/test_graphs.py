@@ -105,6 +105,18 @@ class TestLabeledGraph:
         assert text == '{"n":4,"edges":[[1,3],[1,4],[2,3],[2,4]]}'
         assert LabeledGraph.from_json(text) == g
 
+    @pytest.mark.parametrize("text", [
+        '{"n":4}',  # no edges
+        '{"n":4,"edges":[1,3]}',  # edges that are not pairs
+        '{"n":4,"edges":[[1,3,4]]}',
+        '{"n":4.0,"edges":[[1,3]]}',  # a float where an integer belongs
+        '{"n":4,"edges":[[1,false]]}',  # a bool where an integer belongs
+        '[4]',
+    ])
+    def test_json_import_rejects_bad_shapes(self, text):
+        with pytest.raises(ValueError):
+            LabeledGraph.from_json(text)
+
 
 class TestDescentGraphs:
     def test_block_rotation_gives_k22(self):

@@ -12,7 +12,6 @@ from bruhat_degrees.perm import (
     Transposition,
     _inversion_number_quadratic,
     apply_transposition_left,
-    format_permutation,
     from_one_line,
     identity,
     iter_permutations,
@@ -69,7 +68,7 @@ class TestConstruction:
 
     def test_format_round_trip(self):
         p = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
-        assert parse_permutation(format_permutation(p)) == p
+        assert parse_permutation(str(p)) == p
         assert str(p) == "[7,9,5,2,3,8,4,1,6]"
 
     def test_call_and_position(self):

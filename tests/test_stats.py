@@ -21,6 +21,7 @@ from bruhat_degrees.stats import (
     triple_sum_expectation,
     up_degrees_batch,
 )
+from bruhat_degrees._parallel import block_sizes
 from bruhat_degrees.bruhat import down_degree, up_degree
 from bruhat_degrees.perm import Permutation, from_one_line, random_permutation
 from conftest import all_perms
@@ -196,3 +197,13 @@ class TestMonteCarlo:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_mean(5, "down", samples=1, seed=0)
+
+    @pytest.mark.parametrize("total,size,expected", [
+        (45_000, 20_000, [20_000, 20_000, 5000]),
+        (40_000, 20_000, [20_000, 20_000]),
+        (7, 2000, [7]),
+        (0, 2000, []),
+        (-5, 2000, []),
+    ])
+    def test_block_sizes(self, total, size, expected):
+        assert block_sizes(total, size) == expected
