@@ -54,8 +54,7 @@ class StrongDescentSet:
     members: tuple[Transposition, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.r < max(self.n, 2):
-            raise ValueError(f"order parameter r={self.r} out of range 1..{self.n - 1}")
+        _check_order(self.n, self.r)
         for t in self.members:
             if not 1 <= t.a < t.b <= self.n:
                 raise ValueError(f"member {t} out of range for n={self.n}")

@@ -199,6 +199,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # --samples also sizes the reconstruction samples, which run at any --sampled-n
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     sampled = tuple(int(tok) for tok in str(args.sampled_n).split(",") if tok.strip())
     if any(n < 3 for n in sampled):
         raise ValueError(f"--sampled-n sizes must be >= 3, got {args.sampled_n}")

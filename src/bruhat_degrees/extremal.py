@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bruhat, stats
+from . import stats
 from .perm import Permutation
-
-_STATS = ("down", "total", "rth")
 
 
 @dataclass(frozen=True)
@@ -113,17 +111,7 @@ def brute_force_max(
     stat is one of 'down', 'total', 'rth' (the last needs r).  Refuses
     n > limit; raise the limit explicitly if you accept the factorial cost.
     """
-    if stat not in _STATS:
-        raise ValueError(f"unknown statistic {stat!r}, expected one of {_STATS}")
-    if stat == "rth":
-        if r is None:
-            raise ValueError("statistic 'rth' needs the order parameter r")
-        bruhat._check_order(n, r)
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the exhaustive limit {limit} ({n}! permutations); "
-            "pass a larger limit to override")
+    stats._check_stat(n, stat, r)
+    stats._check_limit(n, limit)
     scan = stats.exhaustive(n, stat, r=r, jobs=jobs)
     return scan.maximum, [Permutation(w) for w in scan.attaining]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import bruhat
 from .perm import Permutation
@@ -72,23 +72,7 @@ class LabeledGraph:
 
     def component_count(self) -> int:
         """Connected components, isolated vertices included."""
-        unseen = (1 << self.n) - 1
-        count = 0
-        while unseen:
-            count += 1
-            frontier = unseen & -unseen
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    nxt |= self.rows[v]
-                frontier = nxt & ~comp
-            unseen &= ~comp
-        return count
+        return len(_components(self.rows))
 
     def has_clique(self, k: int) -> bool:
         """Exact test for a complete subgraph on k vertices.
@@ -156,34 +140,19 @@ class LabeledGraph:
         multipartite, else None.
 
         A graph is complete multipartite iff its complement is a disjoint
-        union of cliques; the parts are the complement's components.
+        union of cliques; the parts are the complement's components, listed
+        by their lowest vertex.
         """
         n = self.n
         full = (1 << n) - 1
         crows = [full & ~self.rows[v] & ~(1 << v) for v in range(n)]
         parts = []
-        unseen = full
-        while unseen:
-            frontier = unseen & -unseen
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    nxt |= crows[v]
-                frontier = nxt & ~comp
-            m = comp
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if comp & ~(crows[v] | (1 << v)):
-                    return None  # component is not a complement clique
-            parts.append([v + 1 for v in range(n) if comp >> v & 1])
-            unseen &= ~comp
-        return sorted(parts, key=lambda part: part[0])
+        for comp in _components(crows):
+            part = [v for v in range(n) if comp >> v & 1]
+            if any(comp & ~(crows[v] | (1 << v)) for v in part):
+                return None  # component is not a complement clique
+            parts.append([v + 1 for v in part])
+        return parts
 
     def to_dot(self) -> str:
         lines = ["graph G {"]
@@ -200,6 +169,28 @@ class LabeledGraph:
     def from_json(cls, text: str) -> "LabeledGraph":
         (n,), edges = bruhat._json_fields(text, ("n",), "edges")
         return cls.from_edges(n, edges)
+
+
+def _components(rows: Sequence[int]) -> list[int]:
+    """The connected components of the graph whose vertex v has the neighbour
+    bitmask rows[v], as vertex bitmasks in order of their lowest vertex."""
+    unseen = (1 << len(rows)) - 1
+    comps = []
+    while unseen:
+        frontier = unseen & -unseen
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            m = frontier
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                nxt |= rows[v]
+            frontier = nxt & ~comp
+        comps.append(comp)
+        unseen &= ~comp
+    return comps
 
 
 def is_complete_multipartite(g: LabeledGraph) -> tuple[bool, list[list[int]] | None]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -117,10 +118,24 @@ class Permutation:
 
         Equals the Coxeter length of the permutation with respect to the
         adjacent transpositions (verified against a breadth-first-search
-        oracle in the tests).  Merge-count implementation, O(n log n);
-        see ``_inversion_number_quadratic`` for the reference version.
+        oracle in the tests).  Fenwick-tree count, O(n log n): reading from
+        the right, a binary indexed tree over the values counts the smaller
+        values already read; see ``_inversion_number_quadratic`` for the
+        reference version.
         """
-        return _inversion_number_merge(self.values)
+        n = len(self.values)
+        tree = [0] * (n + 1)  # tree[i] counts the values read in (i - lowbit(i), i]
+        inv = 0
+        for v in reversed(self.values):
+            i = v - 1
+            while i:
+                inv += tree[i]
+                i &= i - 1
+            i = v
+            while i <= n:
+                tree[i] += 1
+                i += i & -i
+        return inv
 
     def swap_values(self, a: int, b: int) -> "Permutation":
         """Exchange the values a and b in place (left multiplication by t_{a,b})."""
@@ -219,43 +234,8 @@ def parse_permutation(text: str) -> Permutation:
 # ---------------------------------------------------------------------------
 # inversions
 
-def _inversion_number_merge(vals: Sequence[int]) -> int:
-    n = len(vals)
-    if n < 2:
-        return 0
-    buf = list(vals)
-    tmp = [0] * n
-    inv = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buf[i] <= buf[j]:
-                    tmp[k] = buf[i]
-                    i += 1
-                else:
-                    tmp[k] = buf[j]
-                    j += 1
-                    inv += mid - i
-                k += 1
-            while i < mid:
-                tmp[k] = buf[i]
-                i += 1
-                k += 1
-            while j < hi:
-                tmp[k] = buf[j]
-                j += 1
-                k += 1
-            buf[lo:hi] = tmp[lo:hi]
-        width *= 2
-    return inv
-
-
 def _inversion_number_quadratic(vals: Sequence[int]) -> int:
-    # reference implementation, kept as the oracle for the merge count
+    # reference implementation, kept as the oracle for the Fenwick-tree count
     n = len(vals)
     return sum(1 for i in range(n) for k in range(i + 1, n) if vals[i] > vals[k])
 
@@ -305,21 +285,22 @@ def standardize_word(word: Sequence[int]) -> Permutation:
 def longest_decreasing_subsequence(p: Permutation | Sequence[int]) -> int:
     """Length of the longest strictly decreasing subsequence of values.
 
+    Patience sorting, O(n log n): ``tails[k]`` is minus the largest value
+    that ends a decreasing subsequence of length k + 1 so far, an increasing
+    list that each value updates in one binary search.
+
     >>> longest_decreasing_subsequence(Permutation((3, 4, 1, 2)))
     2
     """
-    vals = p.values if isinstance(p, Permutation) else tuple(p)
-    best: list[int] = []
-    out = 0
+    vals = p.values if isinstance(p, Permutation) else p
+    tails: list[int] = []
     for v in vals:
-        b = 1
-        for j, prior in enumerate(vals[: len(best)]):
-            if prior > v and best[j] >= b:
-                b = best[j] + 1
-        best.append(b)
-        if b > out:
-            out = b
-    return out
+        k = bisect_left(tails, -v)
+        if k == len(tails):
+            tails.append(-v)
+        else:
+            tails[k] = -v
+    return len(tails)
 
 
 # ---------------------------------------------------------------------------

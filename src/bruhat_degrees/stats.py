@@ -335,9 +335,7 @@ def distribution(
 ) -> Histogram:
     """Exact distribution of a degree statistic over all n! permutations."""
     _check_stat(n, stat, r)
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the exhaustive limit {limit}; pass a larger limit to override")
+    _check_limit(n, limit)
     return exhaustive(n, stat, r=r, jobs=jobs).histogram
 
 
@@ -360,6 +358,12 @@ def _check_stat(n: int, stat: str, r: int | None) -> str:
     return stat
 
 
+def _check_limit(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(
+            f"n={n} exceeds the exhaustive limit {limit}; pass a larger limit to override")
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -368,6 +372,11 @@ def random_permutation_matrix(n: int, count: int, seed_key: tuple[int, ...]) -> 
     keyed by seed_key (deterministic across platforms and job counts)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     return rng.permuted(np.tile(np.arange(1, n + 1), (count, 1)), axis=1)
+
+
+def _permutations(W: np.ndarray) -> list[Permutation]:
+    """The rows of W as permutations."""
+    return [Permutation(tuple(row)) for row in W.tolist()]
 
 
 def down_degrees_batch(W: np.ndarray) -> np.ndarray:
@@ -385,33 +394,17 @@ def down_degrees_batch(W: np.ndarray) -> np.ndarray:
     return count
 
 
-def up_degrees_batch(W: np.ndarray) -> np.ndarray:
-    """Up degree of every row of W."""
-    m, n = W.shape
-    count = np.zeros(m, dtype=np.int64)
-    for i in range(n - 1):
-        b = W[:, i]
-        best = np.full(m, n + 1, dtype=W.dtype)
-        for k in range(i + 1, n):
-            a = W[:, k]
-            hit = (a > b) & (a < best)
-            count += hit
-            best = np.where(hit, a, best)
-    return count
-
-
 def _mc_block(args: tuple[int, str, int, int, int, int]) -> tuple[int, int, int]:
     n, stat, r, seed, index, count = args
     W = random_permutation_matrix(n, count, (seed, index))
     if stat == "down":
         vals = down_degrees_batch(W)
     elif stat == "total":
-        vals = down_degrees_batch(W) + up_degrees_batch(W)
+        # the up degree is the down degree of the complement n + 1 - p
+        vals = down_degrees_batch(W) + down_degrees_batch(n + 1 - W)
     else:
-        vals = np.fromiter(
-            (bruhat.rth_down_degree(Permutation(tuple(int(x) for x in row)), r)
-             for row in W),
-            dtype=np.int64, count=count)
+        vals = np.array([bruhat.rth_down_degree(p, r) for p in _permutations(W)],
+                        dtype=np.int64)
     # integer sums keep the reduction exact, hence independent of job count
     return count, int(vals.sum()), int((vals.astype(object) ** 2).sum())
 

@@ -18,7 +18,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .reconstruct import is_realizable, reconstruct
 from .perm import (
     Permutation,
     Transposition,
-    _value_tuples,
     identity,
+    iter_permutations,
     longest_decreasing_subsequence,
     longest_element,
 )
@@ -73,15 +73,6 @@ class VerifyOptions:
     samples: int = 1000
     seed: int = 0
     jobs: int | None = 1
-
-
-def _perms(n: int) -> Iterable[Permutation]:
-    for w in _value_tuples(n):
-        yield Permutation(w)
-
-
-def _sample_matrix(n: int, count: int, seed: int, tag: int) -> np.ndarray:
-    return stats.random_permutation_matrix(n, count, (seed, tag))
 
 
 def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
@@ -138,7 +129,7 @@ def check_cover_criterion(opts: VerifyOptions) -> tuple[bool, str]:
     for n in range(1, top + 1):
         transpositions = [Transposition(a, b)
                           for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-        for p in _perms(n):
+        for p in iter_permutations(n):
             downs = set()
             ups = set()
             for t in transpositions:
@@ -168,7 +159,7 @@ def check_descent_window(opts: VerifyOptions) -> tuple[bool, str]:
     for n in range(2, top + 1):
         transpositions = [Transposition(a, b)
                           for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-        for p in _perms(n):
+        for p in iter_permutations(n):
             sets = [set(bruhat.strong_descent_set(p, r).pairs()) for r in range(1, n)]
             base = p.inversion_number()
             for t in transpositions:
@@ -188,7 +179,7 @@ def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
     t_{a,b} <-> t_{pos(a),pos(b)}."""
     top = min(opts.max_n, 6)
     for n in range(2, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             q = p.inverse()
             for r in range(1, n):
                 sp = set(bruhat.strong_descent_set(p, r).pairs())
@@ -201,9 +192,8 @@ def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
                     return _fail(f"membership bijection fails for {p} at r={r}")
     for n in opts.sampled_n:
         count = min(opts.samples, 200)
-        W = _sample_matrix(n, count, opts.seed, 101)
-        for row in W:
-            p = Permutation(tuple(int(x) for x in row))
+        W = stats.random_permutation_matrix(n, count, (opts.seed, 101))
+        for p in stats._permutations(W):
             q = p.inverse()
             for r in (1, 2, n // 2, n - 1):
                 if bruhat.rth_down_degree(p, r) != bruhat.rth_down_degree(q, r):
@@ -215,7 +205,7 @@ def check_descent_monotonicity(opts: VerifyOptions) -> tuple[bool, str]:
     """The r-th strong descent sets grow with r."""
     top = min(opts.max_n, 6)
     for n in range(3, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             prev: set[tuple[int, int]] = set()
             for r in range(1, n):
                 cur = set(bruhat.strong_descent_set(p, r).pairs())
@@ -241,7 +231,7 @@ def check_up_down_complement(opts: VerifyOptions) -> tuple[bool, str]:
     (left multiplication by the reversal)."""
     top = min(opts.max_n, 6)
     for n in range(1, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             comp = Permutation(tuple(n + 1 - v for v in p.values))
             if bruhat.up_degree(p) != bruhat.down_degree(comp):
                 return _fail(f"complement symmetry fails for {p}")
@@ -252,7 +242,7 @@ def check_triangle_free(opts: VerifyOptions) -> tuple[bool, str]:
     """Strong descent graphs contain no triangle."""
     top = min(opts.max_n, 7)
     for n in range(2, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             if not graphs.strong_descent_graph(p, 1).is_triangle_free():
                 return _fail(f"triangle in the descent graph of {p}")
     ok, detail = _structural_samples(opts)["triangle_free"]
@@ -266,7 +256,7 @@ def check_clique_free(opts: VerifyOptions) -> tuple[bool, str]:
     vertices."""
     top = min(opts.max_n, 6)
     for n in range(2, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             for r in range(1, n):
                 if graphs.strong_descent_graph(p, r).has_clique(r + 2):
                     return _fail(f"K_{r + 2} inside the r={r} descent graph of {p}")
@@ -287,7 +277,7 @@ def check_turan_bound(opts: VerifyOptions) -> tuple[bool, str]:
                 return _fail(f"Turan edge count mismatch at r={r}, n={n}")
             if t_num > math.comb(r + 1, 2) * Fraction(n, r + 1) ** 2:
                 return _fail(f"Turan number above the quadratic bound at r={r}, n={n}")
-        for p in _perms(n):
+        for p in iter_permutations(n):
             for r in range(1, n):
                 if bruhat.rth_down_degree(p, r) > graphs.turan_number(r + 1, n):
                     return _fail(f"degree above the Turan bound for {p}, r={r}")
@@ -301,7 +291,7 @@ def check_top_order_is_inversions(opts: VerifyOptions) -> tuple[bool, str]:
     """The (n-1)-th down degree is the inversion number."""
     top = min(opts.max_n, 6)
     for n in range(2, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             if bruhat.rth_down_degree(p, n - 1) != p.inversion_number():
                 return _fail(f"top-order degree of {p} is not its inversion count")
     ok, detail = _structural_samples(opts)["top_order"]
@@ -379,7 +369,7 @@ def check_min_degree_bound(opts: VerifyOptions) -> tuple[bool, str]:
     """The total-degree graph has a vertex of degree at most floor(n/2)+1."""
     top = min(opts.max_n, 7)
     for n in range(2, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             if graphs.total_degree_graph(p).min_degree() > n // 2 + 1:
                 return _fail(f"all vertices of the total graph of {p} have high degree")
     ok, detail = _structural_samples(opts)["min_degree"]
@@ -394,7 +384,7 @@ def check_total_graph_union(opts: VerifyOptions) -> tuple[bool, str]:
     total degree."""
     top = min(opts.max_n, 6)
     for n in range(2, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             down = set(graphs.strong_descent_graph(p, 1).edges())
             up = set(graphs.up_edge_graph(p).edges())
             tot = graphs.total_degree_graph(p)
@@ -450,16 +440,15 @@ def check_increment_lemma(opts: VerifyOptions) -> tuple[bool, str]:
     left-to-right maxima."""
     top = min(opts.max_n, 6)
     for n in range(2, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             if not stats.check_increment_lemma(p):
                 return _fail(f"increment identity fails for {p}")
     if not stats.check_increment_lemma(Permutation(EXAMPLE_PERM)):
         return _fail("increment identity fails on the worked example")
     for n in opts.sampled_n:
         count = min(opts.samples, 200)
-        W = _sample_matrix(n, count, opts.seed, 102)
-        for row in W:
-            p = Permutation(tuple(int(x) for x in row))
+        W = stats.random_permutation_matrix(n, count, (opts.seed, 102))
+        for p in stats._permutations(W):
             if not stats.check_increment_lemma(p):
                 return _fail(f"increment identity fails for a sample at n={n}")
     return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
@@ -483,7 +472,7 @@ def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
     small n and on samples at the large sizes."""
     top = min(opts.max_n, 8)
     for n in range(1, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
                 return _fail(f"round trip fails for {p}")
     sizes = sorted(set(opts.sampled_n) | {20, 50, 100})
@@ -498,8 +487,7 @@ def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
 def _reconstruction_block(args: tuple[int, int, int, int]) -> tuple[bool, str]:
     n, seed, tag, count = args
     W = stats.random_permutation_matrix(n, count, (seed, tag))
-    for row in W:
-        p = Permutation(tuple(int(x) for x in row))
+    for p in stats._permutations(W):
         if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
             return False, f"round trip fails for a sample at n={n}"
     return True, ""
@@ -510,7 +498,7 @@ def check_injectivity(opts: VerifyOptions) -> tuple[bool, str]:
     top = min(opts.max_n, 7)
     for n in range(1, top + 1):
         seen: dict[tuple, tuple] = {}
-        for p in _perms(n):
+        for p in iter_permutations(n):
             key = bruhat.strong_descent_set(p, 1).members
             if key in seen:
                 return _fail(f"{Permutation(seen[key])} and {p} share a descent set")
@@ -527,7 +515,7 @@ def check_components_vs_global_descents(opts: VerifyOptions) -> tuple[bool, str]
     """
     top = min(opts.max_n, 7)
     for n in range(1, top + 1):
-        for p in _perms(n):
+        for p in iter_permutations(n):
             comps = graphs.strong_descent_graph(p, 1).component_count() if n > 1 else 1
             gd = graphs.global_descent_count(p.reverse_positions())
             if comps != gd + 1:
@@ -569,9 +557,11 @@ def check_worked_examples(opts: VerifyOptions) -> tuple[bool, str]:
 
 _SWEEP_KEYS = ("triangle_free", "clique_free", "turan_bound", "top_order", "min_degree")
 
+_SPOT_CHECKS = 5  # samples of each size's first block checked against the descent sets
 
-def _structural_block(args: tuple[int, int, int, int, int]) -> dict[str, tuple[bool, str]]:
-    n, seed, tag, count, spot = args
+
+def _structural_block(args: tuple[int, int, int, int]) -> dict[str, tuple[bool, str]]:
+    n, seed, index, count = args
     turan_caps = [graphs.turan_number(r + 1, n) for r in range(1, n)]
     results = {key: (True, "") for key in _SWEEP_KEYS}
 
@@ -579,11 +569,10 @@ def _structural_block(args: tuple[int, int, int, int, int]) -> dict[str, tuple[b
         if results[key][0]:
             results[key] = (False, detail)
 
-    W = stats.random_permutation_matrix(n, count, (seed, tag))
+    W = stats.random_permutation_matrix(n, count, (seed, 500 + index))
     values = np.arange(1, n + 1)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    for idx, row in enumerate(W):
-        p = Permutation(tuple(int(x) for x in row))
+    for idx, p in enumerate(stats._permutations(W)):
         counts, pos = bruhat.between_counts(p)
         inverted = pos[values][None, :] < pos[values][:, None]
         invpairs = upper & inverted
@@ -623,7 +612,7 @@ def _structural_block(args: tuple[int, int, int, int, int]) -> dict[str, tuple[b
                 break
 
         # spot-check the fast path against the production descent sets
-        if idx < spot:
+        if index == 0 and idx < _SPOT_CHECKS:
             for r in (1, 2, n // 2, n - 1):
                 sel = invpairs & (counts < r)
                 fast = {(int(a) + 1, int(b) + 1) for a, b in np.argwhere(sel)}
@@ -641,32 +630,30 @@ def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:
 
 
 def structural_sample_check(
-    n: int, samples: int, seed: int, jobs: int | None = 1, spot: int = 5,
+    n: int, samples: int, seed: int, jobs: int | None = 1,
 ) -> dict[str, tuple[bool, str]]:
     """Run the five structural lemma checks on random samples at degree n."""
-    blocks = [(n, seed, 500 + index, take, spot if index == 0 else 0)
-              for index, take in enumerate(block_sizes(samples, 2000))]
-    merged = {key: (True, "") for key in _SWEEP_KEYS}
-    for part in map_blocks(_structural_block, blocks, jobs):
-        for key, (ok, detail) in part.items():
-            if merged[key][0] and not ok:
-                merged[key] = (False, detail)
-    return merged
+    return _sweep((n,), samples, seed, jobs)
 
 
 def _structural_samples(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
     """The sampled sweep over every size in opts.sampled_n; several checks
     share it, so it runs once per verify run."""
-    return _per_run(opts, "sweep", lambda: _sweep(opts))
+    return _per_run(opts, "sweep",
+                    lambda: _sweep(opts.sampled_n, opts.samples, opts.seed, opts.jobs))
 
 
-def _sweep(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
-    merged = {key: (True, "no sampled sizes requested") for key in _SWEEP_KEYS}
-    for n in opts.sampled_n:
-        part = structural_sample_check(n, opts.samples, opts.seed, opts.jobs)
+def _sweep(sizes: tuple[int, ...], samples: int, seed: int, jobs: int | None
+           ) -> dict[str, tuple[bool, str]]:
+    """The structural checks at every size, all blocks in one fan-out; each
+    key keeps the first failure in size order, then block order."""
+    blocks = [(n, seed, index, take)
+              for n in sizes for index, take in enumerate(block_sizes(samples, 2000))]
+    merged = {key: (True, "") for key in _SWEEP_KEYS}
+    for part in map_blocks(_structural_block, blocks, jobs):
         for key, (ok, detail) in part.items():
-            if key not in merged or (merged[key][0] and not ok):
-                merged[key] = (ok, detail)
+            if merged[key][0] and not ok:
+                merged[key] = (False, detail)
     return merged
 
 

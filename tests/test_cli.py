@@ -247,6 +247,23 @@ class TestVerify:
         assert all(res.passed for res in verification.run_all(opts))
         assert sorted(calls) == [(n, stat) for n in (2, 3, 4) for stat in ("down", "total")]
 
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_merges_sizes_in_order(self, monkeypatch, jobs, broken):
+        if broken:
+            # an LDS of 1 makes every inversion a K_2 "found" at r = n - 1,
+            # so the two sizes fail with different details
+            monkeypatch.setattr(verification, "longest_decreasing_subsequence", lambda p: 1)
+        opts = verification.VerifyOptions(sampled_n=(12, 20), samples=300, jobs=jobs)
+        expected = {}
+        for n in opts.sampled_n:
+            part = verification.structural_sample_check(n, opts.samples, opts.seed, jobs=jobs)
+            for key, (ok, detail) in part.items():
+                if key not in expected or (expected[key][0] and not ok):
+                    expected[key] = (ok, detail)
+        assert verification._structural_samples(opts) == expected
+        assert expected["clique_free"][0] is not broken
+
     def test_entry_point_via_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bruhat_degrees.cli", "degrees", "[3,2,1]"],
@@ -298,6 +315,23 @@ class TestInputBoundaries:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("flag,value", [("--max-n", "0"), ("--max-n", "1"),
+                                            ("--samples", "0"), ("--samples", "-5")])
+    def test_verify_counts_below_their_floor_are_usage_errors(self, capsys, flag, value):
+        floor = 2 if flag == "--max-n" else 1
+        code, out, err = run_cli(capsys, "verify", "--sampled-n", "", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be >= {floor}, got {value}\n"
+
+    def test_descent_set_order_out_of_range(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text('{"n":1,"r":2,"members":[]}')
+        code, out, err = run_cli(capsys, "reconstruct", "1", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: order parameter r=2 out of range 1..1\n"
 
     @pytest.mark.parametrize("sizes", ["1", "2", "40,2"])
     def test_sampled_n_below_three_is_a_usage_error(self, capsys, sizes):

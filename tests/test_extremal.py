@@ -13,6 +13,7 @@ from bruhat_degrees.extremal import (
 )
 from bruhat_degrees.graphs import strong_descent_graph
 from bruhat_degrees.perm import longest_decreasing_subsequence, longest_element
+from bruhat_degrees.stats import distribution
 
 
 class TestClosedForms:
@@ -136,6 +137,21 @@ class TestBruteForce:
             brute_force_max(10, "down")
         best, _ = brute_force_max(4, "down", limit=4)
         assert best == 4
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((4, "sideways"), {}),
+        ((4, "rth"), {}),
+        ((4, "rth"), {"r": 4}),
+        ((0, "down"), {}),
+        ((10, "down"), {}),
+        ((5, "total"), {"limit": 4}),
+    ])
+    def test_rejects_what_distribution_rejects(self, args, kwargs):
+        with pytest.raises(ValueError) as ours:
+            brute_force_max(*args, **kwargs)
+        with pytest.raises(ValueError) as theirs:
+            distribution(*args, **kwargs)
+        assert str(ours.value) == str(theirs.value)
 
     def test_bad_stat(self):
         with pytest.raises(ValueError):

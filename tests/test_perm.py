@@ -196,9 +196,10 @@ class TestWords:
 
     def test_lds_against_subsequence_enumeration(self):
         rng = random.Random(5)
-        for _ in range(40):
-            n = rng.randrange(1, 7)
-            p = random_permutation(n, rng)
+        sampled = [random_permutation(rng.randrange(1, 7), rng) for _ in range(40)]
+        every = [p for n in range(1, 7) for p in iter_permutations(n)]
+        for p in sampled + every:
+            n = p.n
             best = max(
                 len(combo)
                 for k in range(1, n + 1)
