@@ -54,6 +54,8 @@ class StrongDescentSet:
     members: tuple[Transposition, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"degree must be >= 1, got n={self.n}")
         _check_order(self.n, self.r)
         for t in self.members:
             if not 1 <= t.a < t.b <= self.n:

@@ -13,7 +13,9 @@ has size 2, 4, 8 or 16 depending on n.
 ``brute_force_max`` rederives both facts by scanning all of S_n with
 ``stats.exhaustive``, the depth-first insertion-tree engine, whose blocks
 are subtrees merged in a fixed order, so the result does not depend on the
-number of workers.
+number of workers.  It returns ``Permutation`` objects for library callers;
+``verification`` reads the engine's scan directly, so one pass per
+(n, statistic) serves its maxima, classification and mean checks.
 """
 from __future__ import annotations
 

@@ -212,7 +212,7 @@ def up_edge_graph(p: Permutation) -> LabeledGraph:
 def total_degree_graph(p: Permutation) -> LabeledGraph:
     """Edge-disjoint union of the strong descent graph and the up-edge graph;
     its edge count is the total degree of p in the Hasse diagram."""
-    down = bruhat.strong_descent_set(p, 1).pairs() if p.n > 1 else []
+    down = bruhat.strong_descent_set(p, 1).pairs()
     up = bruhat._up_pairs_word(p.values)
     return LabeledGraph.from_edges(p.n, down + up)
 

@@ -18,13 +18,14 @@ Both facts are re-checkable from this module (``check_increment_lemma``,
 ``ltrm_counts``).
 
 The same identity drives ``exhaustive``, the one engine behind every exact
-scan of S_n (``distribution``, ``exhaustive_mean`` and
-``extremal.brute_force_max``).  It walks the insertion tree depth first,
-inserting 1, 2, ..., n in turn, and carries the statistic down the path:
-the up degree grows by the right-to-left maxima of the prefix before the
-new letter, and the r-th down degree by the later letters with fewer than
-r larger values between the new letter and them.  The word scans of
-``bruhat`` stay the independent oracle for the engine.
+scan of S_n: ``distribution``, ``exhaustive_mean``,
+``extremal.brute_force_max``, and verify, which reads its maxima, attaining
+sets and exact means from one scan per (n, statistic).  It walks the
+insertion tree depth first, inserting 1, 2, ..., n in turn, and carries the
+statistic down the path: the up degree grows by the right-to-left maxima of
+the prefix before the new letter, and the r-th down degree by the later
+letters with fewer than r larger values between the new letter and them.
+The word scans of ``bruhat`` stay the independent oracle for the engine.
 """
 from __future__ import annotations
 
@@ -40,13 +41,7 @@ import numpy as np
 
 from . import bruhat
 from ._parallel import block_sizes, map_blocks
-from .perm import (
-    Permutation,
-    _value_tuples,
-    ltr_maxima,
-    standardize_word,
-    suffix,
-)
+from .perm import Permutation, _value_tuples, ltr_maxima
 
 MAX_EXHAUSTIVE_N = 9
 
@@ -149,20 +144,18 @@ def check_increment_lemma(p: Permutation) -> bool:
     below i by the letter i raises the down degree by the number of
     left-to-right maxima of the suffix following i.
 
-    Words are renamed monotonically to permutations before their down
-    degrees are taken.
+    The restriction of p below i+1 is a permutation of {1..i}, so each
+    restriction is scanned once and consecutive degrees are compared.
     """
     if p.n < 2:
         raise ValueError("increment check needs n >= 2")
+    prev = 0  # the restriction below 2 is the word (1,), of down degree 0
     for i in range(2, p.n + 1):
-        w_hi = p.restrict_below(i + 1)  # word on {1..i}
-        w_lo = p.restrict_below(i)  # word on {1..i-1}
-        j = w_hi.index(i) + 1
-        lhs = bruhat.down_degree(standardize_word(w_hi)) - (
-            bruhat.down_degree(standardize_word(w_lo)) if w_lo else 0)
-        rhs = ltr_maxima(suffix(w_lo, i - j))
-        if lhs != rhs:
+        w = p.restrict_below(i + 1)
+        degree = bruhat.down_degree(Permutation(w))
+        if degree - prev != ltr_maxima(w[w.index(i) + 1:]):
             return False
+        prev = degree
     return True
 
 
@@ -311,12 +304,13 @@ def exhaustive(n: int, stat: str = "down", r: int | None = None,
     left-to-right maxima of the suffix after it and the up degree by the
     right-to-left maxima of the prefix before it; no existing cover changes.
     All increments of a node come from one stack pass, so no leaf is scanned.
-    With jobs != 1 and n >= 8 the subtrees below the words of length 4 are
-    the blocks; below n = 8 starting the pool costs more than the whole scan.
+    With jobs != 1 and n >= 9 the subtrees below the words of length 4 are
+    the blocks; below n = 9 starting the pool costs more than it saves (at
+    n = 8 on 2 cores the serial scan wins for every statistic).
     """
     label = _check_stat(n, stat, r)
     increments = _increment_fn(stat, r or 0)
-    depth = 1 if (jobs == 1 or n < 8) else _BLOCK_DEPTH
+    depth = 1 if (jobs == 1 or n < 9) else _BLOCK_DEPTH
     blocks = [(n, stat, r or 0, w, value) for w, value in _insertion_nodes(depth, increments)]
     parts = map_blocks(_exhaustive_block, blocks, jobs)
     counts = [sum(column) for column in zip(*(c for c, _, _ in parts))]

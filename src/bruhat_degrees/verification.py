@@ -84,9 +84,12 @@ def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
     return memo[key]
 
 
-def _brute_force_max(opts: VerifyOptions, n: int, stat: str) -> tuple[int, list[Permutation]]:
-    return _per_run(opts, ("max", n, stat),
-                    lambda: extremal.brute_force_max(n, stat, jobs=opts.jobs))
+def _exhaustive(opts: VerifyOptions, n: int, stat: str) -> stats.ExhaustiveScan:
+    """The engine's scan of S_n for one statistic, once per verify run: the
+    maxima, classification and expectation checks all read it.  Options
+    built by hand can ask for any n, so the exhaustive limit holds here."""
+    stats._check_limit(n, stats.MAX_EXHAUSTIVE_N)
+    return _per_run(opts, ("scan", n, stat), lambda: stats.exhaustive(n, stat, jobs=opts.jobs))
 
 
 def _fail(detail: str) -> tuple[bool, str]:
@@ -204,7 +207,7 @@ def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
 def check_descent_monotonicity(opts: VerifyOptions) -> tuple[bool, str]:
     """The r-th strong descent sets grow with r."""
     top = min(opts.max_n, 6)
-    for n in range(3, top + 1):
+    for n in range(2, top + 1):
         for p in iter_permutations(n):
             prev: set[tuple[int, int]] = set()
             for r in range(1, n):
@@ -303,7 +306,7 @@ def check_top_order_is_inversions(opts: VerifyOptions) -> tuple[bool, str]:
 def check_max_down_degree(opts: VerifyOptions) -> tuple[bool, str]:
     """Brute-force maximum of the down degree equals floor(n^2/4)."""
     for n in range(2, opts.max_n + 1):
-        best, _ = _brute_force_max(opts, n, "down")
+        best = _exhaustive(opts, n, "down").maximum
         if best != extremal.max_down_degree(n):
             return _fail(f"max down degree over S_{n} is {best}")
     return _ok(f"2<=n<={opts.max_n}")
@@ -313,9 +316,8 @@ def check_extremal_down_classification(opts: VerifyOptions) -> tuple[bool, str]:
     """The attaining set of the down-degree maximum is exactly the generated
     three-block family, with the predicted count and structure."""
     for n in range(2, opts.max_n + 1):
-        _, attaining = _brute_force_max(opts, n, "down")
         family = extremal.extremal_down_permutations(n)
-        if attaining != family:
+        if _exhaustive(opts, n, "down").attaining != [p.values for p in family]:
             return _fail(f"attaining set differs from the family at n={n}")
         expected = n if n % 2 else n // 2
         if len(family) != expected:
@@ -333,7 +335,7 @@ def check_extremal_down_classification(opts: VerifyOptions) -> tuple[bool, str]:
 def check_max_total_degree(opts: VerifyOptions) -> tuple[bool, str]:
     """Brute-force maximum of the total degree equals floor(n^2/4) + n - 2."""
     for n in range(2, opts.max_n + 1):
-        best, _ = _brute_force_max(opts, n, "total")
+        best = _exhaustive(opts, n, "total").maximum
         if best != extremal.max_total_degree(n):
             return _fail(f"max total degree over S_{n} is {best}")
     return _ok(f"2<=n<={opts.max_n}")
@@ -344,9 +346,8 @@ def check_extremal_total_classification(opts: VerifyOptions) -> tuple[bool, str]
     two-block permutations under the three involutions, with counts
     2 / 4 / 8 / 16."""
     for n in range(2, opts.max_n + 1):
-        _, attaining = _brute_force_max(opts, n, "total")
         family = extremal.extremal_total_permutations(n)
-        if attaining != family:
+        if _exhaustive(opts, n, "total").attaining != [p.values for p in family]:
             return _fail(f"attaining set differs from the closure at n={n}")
         if n == 2:
             expected = 2
@@ -406,10 +407,10 @@ def check_expectation_identities(opts: VerifyOptions) -> tuple[bool, str]:
         if stats.triple_sum_expectation(n) != stats.expected_down_degree(n):
             return _fail(f"triple sum differs from the closed form at n={n}")
     for n in range(1, min(opts.max_n, 8) + 1):
-        if stats.exhaustive_mean(n, "down", jobs=opts.jobs) != stats.expected_down_degree(n):
+        if _exhaustive(opts, n, "down").histogram.mean() != stats.expected_down_degree(n):
             return _fail(f"exhaustive mean differs from the closed form at n={n}")
     for n in range(1, min(opts.max_n, 7) + 1):
-        if stats.exhaustive_mean(n, "total", jobs=opts.jobs) != 2 * stats.expected_down_degree(n):
+        if _exhaustive(opts, n, "total").histogram.mean() != 2 * stats.expected_down_degree(n):
             return _fail(f"mean total degree is not twice the mean down degree at n={n}")
     return _ok(f"triple sum to n=200, exhaustive to n<={min(opts.max_n, 8)}")
 
@@ -458,10 +459,11 @@ def check_ltrm_generating_function(opts: VerifyOptions) -> tuple[bool, str]:
     """Left-to-right maxima counts over S_t match the rising factorial
     coefficients, and their mean is the harmonic number."""
     for t in range(0, 8):
-        if stats.ltrm_counts(t) != stats.rising_factorial_coefficients(t):
+        counts = stats.ltrm_counts(t)
+        if counts != stats.rising_factorial_coefficients(t):
             return _fail(f"generating function mismatch at t={t}")
         if t >= 1:
-            total = sum(k * c for k, c in enumerate(stats.ltrm_counts(t)))
+            total = sum(k * c for k, c in enumerate(counts))
             if Fraction(total, math.factorial(t)) != stats.expected_ltrm(t):
                 return _fail(f"mean left-to-right maxima mismatch at t={t}")
     return _ok("t<=7")
@@ -516,7 +518,7 @@ def check_components_vs_global_descents(opts: VerifyOptions) -> tuple[bool, str]
     top = min(opts.max_n, 7)
     for n in range(1, top + 1):
         for p in iter_permutations(n):
-            comps = graphs.strong_descent_graph(p, 1).component_count() if n > 1 else 1
+            comps = graphs.strong_descent_graph(p, 1).component_count()
             gd = graphs.global_descent_count(p.reverse_positions())
             if comps != gd + 1:
                 return _fail(f"{p}: {comps} components vs {gd} global descents")

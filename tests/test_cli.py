@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bruhat_degrees import bruhat, extremal, verification
+from bruhat_degrees import bruhat, stats, verification
 from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import main
@@ -235,17 +235,19 @@ class TestVerify:
         assert report["worked-examples"] == "FAIL"
 
     def test_each_maximum_computed_once(self, monkeypatch):
+        # the maxima, classification and expectation checks share one scan
+        # per (n, stat); n = 1 is scanned for the exact means only
         calls = []
-        real = extremal.brute_force_max
+        real = stats.exhaustive
 
         def counted(n, stat, **kwargs):
             calls.append((n, stat))
             return real(n, stat, **kwargs)
 
-        monkeypatch.setattr(extremal, "brute_force_max", counted)
+        monkeypatch.setattr(stats, "exhaustive", counted)
         opts = verification.VerifyOptions(max_n=4, sampled_n=(), samples=10)
         assert all(res.passed for res in verification.run_all(opts))
-        assert sorted(calls) == [(n, stat) for n in (2, 3, 4) for stat in ("down", "total")]
+        assert sorted(calls) == [(n, stat) for n in (1, 2, 3, 4) for stat in ("down", "total")]
 
     @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -324,6 +326,16 @@ class TestInputBoundaries:
         assert code == 2
         assert out == ""
         assert err == f"error: {flag} must be >= {floor}, got {value}\n"
+
+    @pytest.mark.parametrize("n,text", [("0", ""), ("-3", ""),
+                                        ("0", '{"n":0,"r":1,"members":[]}')])
+    def test_reconstruct_degree_below_one(self, capsys, tmp_path, n, text):
+        path = tmp_path / "set.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "reconstruct", n, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: degree must be >= 1, got n={n}\n"
 
     def test_descent_set_order_out_of_range(self, capsys, tmp_path):
         path = tmp_path / "set.json"

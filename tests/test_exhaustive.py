@@ -69,9 +69,11 @@ def test_engine_matches_word_scans(n):
         assert scan.histogram.stat == (stat if r is None else f"rth({r})")
 
 
-@pytest.mark.parametrize("n", range(4, MAX_N + 1))
+@pytest.mark.parametrize("n", range(4, MAX_N + 2))
 def test_job_counts_agree(n):
-    for stat, r in _cases(n):
+    # the pool starts only from n = 9, so n = 9 compares the pooled blocks
+    # with the serial walk; down and total keep it cheap
+    for stat, r in _cases(n) if n <= MAX_N else _cases(n)[:2]:
         assert stats.exhaustive(n, stat, r=r, jobs=2) == stats.exhaustive(n, stat, r=r, jobs=1)
 
 
@@ -95,7 +97,7 @@ def test_increment_identities_on_all_of_s_n(n):
                                if sum(1 for c in w[j:q] if c > w[q]) < r)
 
 
-def test_pool_starts_only_from_n_8(monkeypatch):
+def test_pool_starts_only_from_n_9(monkeypatch):
     blocks_seen = []
     real = stats.map_blocks
 
@@ -104,8 +106,8 @@ def test_pool_starts_only_from_n_8(monkeypatch):
         return real(fn, blocks, jobs)
 
     monkeypatch.setattr(stats, "map_blocks", counted)
-    stats.exhaustive(7, "down", jobs=2)
     stats.exhaustive(8, "down", jobs=2)
+    stats.exhaustive(9, "down", jobs=2)
     assert blocks_seen == [1, 24]
 
 

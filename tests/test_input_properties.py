@@ -1,0 +1,86 @@
+"""Every outside input turns into a result or a ValueError, never a crash.
+
+The parsers see arbitrary text, including text drawn from their own
+alphabets so that it often gets past the first token.  ``reconstruct`` on the
+command line exits 0, 1 or 2 for any file and never succeeds below n = 1.
+"""
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bruhat_degrees.bruhat import StrongDescentSet
+from bruhat_degrees.cli import main
+from bruhat_degrees.graphs import LabeledGraph
+from bruhat_degrees.perm import parse_permutation
+
+CHARS = st.characters(blacklist_categories=("Cs",))
+TEXT = st.one_of(
+    st.text(CHARS, max_size=40),
+    st.text("t(),0123456789- []", max_size=40),
+    st.text('{}[]":,0123456789-.nrmembersedgtu ', max_size=60),
+)
+# JSON objects with the expected keys and small integers, so the field and
+# member checks run; vertex counts stay small because graphs allocate n rows
+SMALL = st.integers(-3, 12)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL, st.floats(allow_nan=False), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+DESCENT_JSON = st.fixed_dictionaries(
+    {"n": st.one_of(SMALL, JSON_VALUES), "r": st.one_of(SMALL, JSON_VALUES),
+     "members": st.one_of(st.lists(st.lists(SMALL, max_size=3), max_size=6), JSON_VALUES)})
+
+
+def _parses_or_value_error(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(TEXT)
+def test_parse_permutation(text):
+    _parses_or_value_error(parse_permutation, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SMALL, SMALL, TEXT)
+def test_descent_set_from_text(n, r, text):
+    _parses_or_value_error(lambda t: StrongDescentSet.from_text(n, r, t), text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TEXT, DESCENT_JSON.map(json.dumps)))
+def test_descent_set_from_json(text):
+    _parses_or_value_error(StrongDescentSet.from_json, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TEXT, DESCENT_JSON.map(
+    lambda d: json.dumps({"n": d["n"], "edges": d["members"]}))))
+def test_graph_from_json(text):
+    _parses_or_value_error(LabeledGraph.from_json, text)
+
+
+@pytest.fixture(scope="module")
+def set_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reconstruct") / "set.txt"
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([-2, 0, 1, 3]),
+       text=st.one_of(TEXT, DESCENT_JSON.map(json.dumps)))
+def test_reconstruct_cli_exit_codes(set_file, n, text):
+    set_file.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reconstruct", str(n), str(set_file)])
+    assert code in (0, 1, 2)
+    if n < 1:
+        assert code != 0
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

@@ -39,6 +39,11 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="r=2"):
             reconstruct(4, descent_set_of([(1, 2)], 4, r=2))
 
+    def test_degree_below_one_rejected(self):
+        assert not is_realizable(0, [])
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            descent_set_of([], -3)
+
     def test_member_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             descent_set_of([(1, 5)], 4)

@@ -20,6 +20,7 @@ from bruhat_degrees.stats import (
     rising_factorial_coefficients,
     triple_sum_expectation,
 )
+from bruhat_degrees import bruhat
 from bruhat_degrees._parallel import block_sizes
 from bruhat_degrees.bruhat import down_degree, up_degree
 from bruhat_degrees.perm import Permutation, from_one_line, random_permutation
@@ -97,9 +98,27 @@ class TestIncrementLemma:
         assert check_increment_lemma(from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6]))
 
     def test_exhaustive_small(self):
-        for n in range(2, 7):
+        for n in range(2, 8):
             for p in all_perms(n):
                 assert check_increment_lemma(p)
+
+    def test_scans_each_restriction_once(self, monkeypatch):
+        calls = []
+        real = bruhat.down_degree
+
+        def counted(p):
+            calls.append(p.n)
+            return real(p)
+
+        monkeypatch.setattr(bruhat, "down_degree", counted)
+        assert check_increment_lemma(random_permutation(40, random.Random(3)))
+        assert calls == list(range(2, 41))
+
+    def test_fails_when_down_degree_is_off_by_one(self, monkeypatch):
+        real = bruhat.down_degree
+        monkeypatch.setattr(bruhat, "down_degree", lambda p: real(p) + (p.n == 3))
+        assert not check_increment_lemma(from_one_line([1, 2, 3]))
+        assert not check_increment_lemma(from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6]))
 
     def test_random_n8(self):
         rng = random.Random(99)
