@@ -26,7 +26,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .perm import Permutation, Transposition, apply_transposition_left
+from .perm import (Permutation, Transposition, _check_degree_cap, _parse_int,
+                   apply_transposition_left)
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,7 @@ class StrongDescentSet:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"degree must be >= 1, got n={self.n}")
+        _check_degree_cap(self.n)
         _check_order(self.n, self.r)
         for t in self.members:
             if not 1 <= t.a < t.b <= self.n:
@@ -83,7 +85,7 @@ class StrongDescentSet:
         for token in text.split():
             if not (token.startswith("t(") and token.endswith(")")):
                 raise ValueError(f"bad transposition token {token!r}")
-            a, b = (int(x) for x in token[2:-1].split(","))
+            a, b = (_parse_int(x) for x in token[2:-1].split(","))
             members.append(Transposition.of(a, b))
         return cls(n, r, tuple(members))
 

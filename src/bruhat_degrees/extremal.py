@@ -11,7 +11,7 @@ first/last entry exchange, and exchange of the values 1 and n; the orbit
 has size 2, 4, 8 or 16 depending on n.
 
 ``brute_force_max`` rederives both facts by scanning all of S_n with
-``stats.exhaustive``, the depth-first insertion-tree engine, whose blocks
+``stats.exhaustive``, the level-by-level insertion-tree engine, whose blocks
 are subtrees merged in a fixed order, so the result does not depend on the
 number of workers.  It returns ``Permutation`` objects for library callers;
 ``verification`` reads the engine's scan directly, so one pass per
@@ -108,7 +108,8 @@ def brute_force_max(
     limit: int = stats.MAX_EXHAUSTIVE_N,
 ) -> tuple[int, list[Permutation]]:
     """Exact maximum of a degree statistic over S_n with all attaining
-    permutations, by full enumeration.
+    permutations, from one ``stats.exhaustive`` scan of the insertion tree
+    (only the attaining leaves are ever built).
 
     stat is one of 'down', 'total', 'rth' (the last needs r).  Refuses
     n > limit; raise the limit explicitly if you accept the factorial cost.

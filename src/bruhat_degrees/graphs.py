@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import bruhat
-from .perm import Permutation
+from .perm import Permutation, _check_degree_cap
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class LabeledGraph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabeledGraph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        _check_degree_cap(n)
         rows = [0] * n
         for a, b in edges:
             if not (1 <= a <= n and 1 <= b <= n):

@@ -22,8 +22,30 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 
+# The largest n that a descent set or a graph may declare.  Reconstruction and
+# graph rows allocate n-sized lists, so n is checked against this first.
+MAX_DEGREE = 100_000
+
+
 class InvalidPermutationError(ValueError):
     """The input sequence is not a rearrangement of {1..n}."""
+
+
+def _check_degree_cap(n: int) -> None:
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree n={n} exceeds the cap {MAX_DEGREE}")
+
+
+def _parse_int(token: str) -> int:
+    """An integer token of input text: ASCII digits with an optional sign.
+
+    ``int`` alone also reads ``1_0`` and non-ASCII digits such as U+0662
+    (Arabic-Indic two); a rejected token gets the message ``int`` gives.
+    """
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
 
 
 class Transposition(NamedTuple):
@@ -225,7 +247,7 @@ def parse_permutation(text: str) -> Permutation:
     values = []
     for tok in tokens:
         try:
-            values.append(int(tok))
+            values.append(_parse_int(tok))
         except ValueError:
             raise InvalidPermutationError(f"invalid value {tok!r}") from None
     return from_one_line(values)

@@ -20,22 +20,21 @@ Both facts are re-checkable from this module (``check_increment_lemma``,
 The same identity drives ``exhaustive``, the one engine behind every exact
 scan of S_n: ``distribution``, ``exhaustive_mean``,
 ``extremal.brute_force_max``, and verify, which reads its maxima, attaining
-sets and exact means from one scan per (n, statistic).  It walks the
-insertion tree depth first, inserting 1, 2, ..., n in turn, and carries the
-statistic down the path: the up degree grows by the right-to-left maxima of
-the prefix before the new letter, and the r-th down degree by the later
-letters with fewer than r larger values between the new letter and them.
-The word scans of ``bruhat`` stay the independent oracle for the engine.
+sets and exact means from one scan per (n, statistic).  It builds the
+insertion tree level by level, inserting 1, 2, ..., n in turn, with all
+words of one length in one numpy array, and carries the statistic down:
+one gain kernel gives, for every slot of every word, the later letters with
+fewer than r larger letters between the slot and them.  At r = 1 that is
+the down gain; the up gain is the same kernel on the reversed word.  The
+word scans of ``bruhat`` stay the independent oracle for the engine.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .perm import Permutation, _value_tuples, ltr_maxima
 
 MAX_EXHAUSTIVE_N = 9
 
-_BLOCK_DEPTH = 4  # parallel exhaustive blocks: the 24 subtrees below S_4
+_BLOCK_WORDS = math.factorial(9)  # words of the last level S_10 builds in one piece
 
 _MC_BLOCK = 20_000
 
@@ -191,127 +190,96 @@ class ExhaustiveScan(NamedTuple):
     attaining: list[tuple[int, ...]]
 
 
-def _down_increments(w: Sequence[int]) -> list[int]:
-    """inc[j] = left-to-right maxima of w[j:], for every slot 0 <= j <= len(w):
-    the down-degree gain when len(w)+1 is inserted before position j."""
-    inc = [0]
-    stack: list[int] = []  # the left-to-right maxima of the suffix, first on top
-    for v in reversed(w):
-        while stack and stack[-1] < v:
-            stack.pop()
-        stack.append(v)
-        inc.append(len(stack))
-    inc.reverse()
-    return inc
+def _gains(W: np.ndarray, r: int) -> np.ndarray:
+    """G[i, j] = the r-th down-degree gain of inserting the new maximum
+    before slot j of the word W[i], for every slot 0 <= j <= m: the letters
+    of W[i, j:] with fewer than r larger letters between the slot and them.
+    At r = 1 these are the left-to-right maxima of the suffix."""
+    N, m = W.shape
+    columns = np.ascontiguousarray(W.T)  # one contiguous row per letter position
+    G = np.zeros((m + 1, N), dtype=np.int8)
+    larger = np.empty(N, dtype=np.int8)
+    for q in range(m):
+        # walk back from letter q, counting the larger letters in W[:, j:q]
+        larger[:] = 0
+        for j in range(q - 1, -1, -1):
+            larger += columns[j] > columns[q]
+            G[j] += larger < r
+        G[q] += 1
+    return G.T
 
 
-def _total_increments(w: Sequence[int]) -> list[int]:
-    """Down-degree gains plus up-degree gains, the right-to-left maxima of
-    w[:j], for every slot j."""
-    inc = _down_increments(w)
-    stack: list[int] = []  # the right-to-left maxima of the prefix, last on top
-    for j, v in enumerate(w, 1):
-        while stack and stack[-1] < v:
-            stack.pop()
-        stack.append(v)
-        inc[j] += len(stack)
-    return inc
-
-
-def _rth_increments(w: Sequence[int], r: int) -> list[int]:
-    """The r-th degree gain for every slot: the inserted maximum b = len(w)+1
-    gains t_{a,b} for each later a with fewer than r larger values between
-    the slot and a, so a counts for the slots after its r-th nearest earlier
-    larger value."""
-    diff = [0] * (len(w) + 2)
-    for q, a in enumerate(w):
-        p = q - 1
-        larger = 0
-        while p >= 0:
-            if w[p] > a:
-                larger += 1
-                if larger == r:
-                    break
-            p -= 1
-        diff[p + 1] += 1
-        diff[q + 1] -= 1
-    return list(itertools.accumulate(diff[:-1]))
-
-
-def _increment_fn(stat: str, r: int) -> Callable[[Sequence[int]], list[int]]:
-    if stat == "down" or (stat == "rth" and r == 1):
-        return _down_increments
+def _level_gains(W: np.ndarray, stat: str, r: int) -> np.ndarray:
+    """The statistic's gain for every (word, slot) of one tree level; the
+    up gain is the down gain of the reversed word at the mirrored slot."""
     if stat == "total":
-        return _total_increments
-    return functools.partial(_rth_increments, r=r)
+        return _gains(W, 1) + _gains(W[:, ::-1], 1)[:, ::-1]
+    return _gains(W, r)
 
 
-def _insertion_nodes(length: int, increments: Callable[[Sequence[int]], list[int]]
-                     ) -> list[tuple[tuple[int, ...], int]]:
-    """The insertion-tree nodes with words of the given length, in slot order,
-    each with its statistic (0 on the root word (1,))."""
-    nodes = [((1,), 0)]
-    for m in range(2, length + 1):
-        nodes = [(w[:j] + (m,) + w[j:], value + d)
-                 for w, value in nodes for j, d in enumerate(increments(w))]
-    return nodes
+def _children(W: np.ndarray, V: np.ndarray, stat: str, r: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The next tree level: each word with the new maximum inserted before
+    each slot in turn, row by row, and the statistic of every child."""
+    N, m = W.shape
+    C = np.empty((N, m + 1, m + 1), dtype=np.int8)
+    for j in range(m + 1):
+        C[:, j, :j] = W[:, :j]
+        C[:, j, j] = m + 1
+        C[:, j, j + 1:] = W[:, j:]
+    return C.reshape(N * (m + 1), m + 1), (V[:, None] + _level_gains(W, stat, r)).ravel()
 
 
-def _exhaustive_block(args: tuple[int, str, int, tuple[int, ...], int]
+def _exhaustive_block(args: tuple[int, str, int, list[int], int]
                       ) -> tuple[list[int], int, list[tuple[int, ...]]]:
-    """Depth-first walk of the subtree below one node: inserting m before
-    position j adds increments(w)[j] to the statistic of w, so leaves are
-    counted without being built, except those that reach the running maximum."""
+    """Histogram, maximum and attaining words of the subtree below one node.
+
+    The levels are built down to words of length n-1; the last level is
+    counted from its gains, and only the leaves that reach the maximum are
+    built."""
     n, stat, r, root, value = args
-    increments = _increment_fn(stat, r)
-    counts = [0] * (n * (n - 1) // 2 + 1)  # every statistic is at most C(n, 2)
-    if len(root) == n:
-        counts[value] += 1
-        return counts, value, [root]
-    w = list(root)
-    best = -1
-    hits: list[tuple[int, ...]] = []
+    # letters fit int8, and every statistic, at most C(n, 2), fits int16
+    W, V = np.array([root], dtype=np.int8), np.array([value], dtype=np.int16)
+    while W.shape[1] < n - 1:
+        W, V = _children(W, V, stat, r)
+    leaves = V[:, None] + _level_gains(W, stat, r)
+    best = int(leaves.max())
+    rows, slots = np.nonzero(leaves == best)
+    hits = [tuple(w[:j] + [n] + w[j:]) for w, j in zip(W[rows].tolist(), slots.tolist())]
+    # one slot at a time keeps bincount's cast to intp small
+    counts = sum(np.bincount(slot, minlength=n * (n - 1) // 2 + 1) for slot in leaves.T)
+    return counts.tolist(), best, hits
 
-    def walk(value: int) -> None:
-        nonlocal best, hits
-        inc = increments(w)
-        m = len(w) + 1
-        if m < n:
-            for j, d in enumerate(inc):
-                w.insert(j, m)
-                walk(value + d)
-                del w[j]
-            return
-        for d in inc:
-            counts[value + d] += 1
-        top = max(inc)
-        if value + top >= best:
-            if value + top > best:
-                best, hits = value + top, []
-            hits.extend(tuple(w[:j]) + (m,) + tuple(w[j:])
-                        for j, d in enumerate(inc) if d == top)
 
-    walk(value)
-    return counts, best, hits
+def _block_depth(n: int) -> int:
+    """The depth of the tree nodes whose subtrees are the blocks of S_n: the
+    smallest whose subtrees build at most the 9! words that S_10 builds in
+    one piece, so n <= 10 is one block, n = 11 the 24 below S_4."""
+    depth = 0
+    while math.factorial(n - 1) > math.factorial(depth) * _BLOCK_WORDS:
+        depth += 1
+    return depth
 
 
 def exhaustive(n: int, stat: str = "down", r: int | None = None,
                jobs: int | None = 1) -> ExhaustiveScan:
     """Histogram, maximum and attaining words of a statistic over all of S_n,
-    in one depth-first pass over the insertion tree.
+    built level by level from the empty word of the insertion tree.
 
     Inserting n into a word on {1..n-1} raises the down degree by the
     left-to-right maxima of the suffix after it and the up degree by the
     right-to-left maxima of the prefix before it; no existing cover changes.
-    All increments of a node come from one stack pass, so no leaf is scanned.
-    With jobs != 1 and n >= 9 the subtrees below the words of length 4 are
-    the blocks; below n = 9 starting the pool costs more than it saves (at
-    n = 8 on 2 cores the serial scan wins for every statistic).
+    The gains of every slot of a level come from one vectorised kernel, so
+    no leaf is scanned.  The blocks are the subtrees below the nodes at
+    ``_block_depth(n)``, merged in node order; up to n = 10 that is the
+    whole tree, so the pool only starts from n = 11.
     """
     label = _check_stat(n, stat, r)
-    increments = _increment_fn(stat, r or 0)
-    depth = 1 if (jobs == 1 or n < 9) else _BLOCK_DEPTH
-    blocks = [(n, stat, r or 0, w, value) for w, value in _insertion_nodes(depth, increments)]
+    order = r if stat == "rth" else 1
+    W, V = np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int16)
+    for _ in range(_block_depth(n)):
+        W, V = _children(W, V, stat, order)
+    blocks = [(n, stat, order, w, value) for w, value in zip(W.tolist(), V.tolist())]
     parts = map_blocks(_exhaustive_block, blocks, jobs)
     counts = [sum(column) for column in zip(*(c for c, _, _ in parts))]
     best = max(b for _, b, _ in parts)

@@ -1,0 +1,62 @@
+"""Every module-level function, class and constant of the package is used.
+
+A name defined at the top level of a module in ``src/bruhat_degrees`` must be
+referenced somewhere in ``src``, ``tests``, ``perfbench`` or ``demos``: read
+as a variable, as an attribute, or imported by name.  Its own definition does
+not count.  Dunder names such as ``__all__`` are exempt.  Like
+``test_imports.py``, this parses the sources with the standard-library
+``ast``, since no linter ships with the test environment.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bruhat_degrees"
+SEARCHED = [ROOT / d for d in ("src", "tests", "perfbench", "demos")]
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_names(package: dict[str, str], others: list[str]) -> list[str]:
+    """The names defined in the package sources (module name -> text) that no
+    source, the package's own included, references."""
+    trees = {module: ast.parse(text) for module, text in package.items()}
+    used = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        used |= referenced_names(tree)
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in defined_names(tree) - used)
+
+
+def test_detects_a_dead_name():
+    package = {"a": "LIMIT = 3\n_SPARE = 4\ndef f():\n    return LIMIT\nclass K:\n    pass\n",
+               "__init__": "from .a import f\n__all__ = ['f']\n"}
+    assert dead_names(package, ["import a\na.K()\n"]) == ["a._SPARE"]
+
+
+def test_no_dead_names():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    others = [p.read_text(encoding="utf-8") for d in SEARCHED for p in sorted(d.rglob("*.py"))
+              if p.parent != PACKAGE]
+    assert dead_names(package, others) == []

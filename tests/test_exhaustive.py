@@ -6,11 +6,14 @@ degrees as their lengths, are the independent side here (the closed-form mean re
 so it cannot vouch for it).
 """
 import functools
+import math
 
+import numpy as np
 import pytest
 
 from bruhat_degrees import stats
 from bruhat_degrees.bruhat import _descent_pairs_word, _down_pairs_word, _up_pairs_word
+from bruhat_degrees.extremal import extremal_down_permutations, max_down_degree
 from bruhat_degrees.perm import _value_tuples, ltr_maxima
 
 MAX_N = 8
@@ -69,46 +72,80 @@ def test_engine_matches_word_scans(n):
         assert scan.histogram.stat == (stat if r is None else f"rth({r})")
 
 
-@pytest.mark.parametrize("n", range(4, MAX_N + 2))
+@pytest.mark.parametrize("n", range(4, MAX_N + 1))
 def test_job_counts_agree(n):
-    # the pool starts only from n = 9, so n = 9 compares the pooled blocks
-    # with the serial walk; down and total keep it cheap
-    for stat, r in _cases(n) if n <= MAX_N else _cases(n)[:2]:
+    for stat, r in _cases(n):
         assert stats.exhaustive(n, stat, r=r, jobs=2) == stats.exhaustive(n, stat, r=r, jobs=1)
+
+
+def test_job_counts_agree_at_n_11():
+    """S_11 is the first size split into blocks: the 24 subtrees below S_4,
+    fanned out at jobs=2 and run in turn at jobs=1."""
+    pooled = stats.distribution(11, "down", jobs=2, limit=11)
+    serial = stats.exhaustive(11, "down", jobs=1)
+    assert pooled == serial.histogram
+    assert serial.histogram.total() == math.factorial(11)
+    assert serial.histogram.mean() == stats.expected_down_degree(11)
+    assert serial.maximum == max_down_degree(11)
+    assert serial.attaining == [p.values for p in extremal_down_permutations(11)]
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_increment_identities_on_all_of_s_n(n):
-    """Insert n into the restriction of p below n: the up degree gains the
-    right-to-left maxima of the prefix, and the r-th down degree gains each
-    later letter with fewer than r larger letters between the slot and it."""
-    for p in _value_tuples(n):
-        j = p.index(n)
-        w = p[:j] + p[j + 1:]
-        down_gain = stats._down_increments(w)
-        up_gain = [t - d for t, d in zip(stats._total_increments(w), down_gain)]
-        assert up_gain[j] == up(p) - up(w)
-        assert up_gain[j] == ltr_maxima(reversed(w[:j]))
-        assert down_gain[j] == down(p) - down(w)
-        for r in range(1, n):
-            gain = stats._rth_increments(w, r)[j]
-            assert gain == rth(p, r) - rth(w, r)
-            assert gain == sum(1 for q in range(j, n - 1)
-                               if sum(1 for c in w[j:q] if c > w[q]) < r)
+    """Insert n into the restriction of p below n: the down degree gains the
+    left-to-right maxima of the suffix, the up degree the right-to-left
+    maxima of the prefix, and the r-th down degree each later letter with
+    fewer than r larger letters between the slot and it.  The kernel's gains
+    for every slot of every word of S_{n-1} come from one call per r."""
+    words = list(_value_tuples(n - 1))
+    W = np.array(words, dtype=np.int8)
+    down_gain = stats._gains(W, 1)
+    up_gain = stats._gains(W[:, ::-1], 1)[:, ::-1]
+    assert (stats._level_gains(W, "total", 1) == down_gain + up_gain).all()
+    rth_gain = {r: stats._gains(W, r) for r in range(1, n)}
+    for i, w in enumerate(words):
+        for j in range(n):
+            p = w[:j] + (n,) + w[j:]
+            assert up_gain[i, j] == up(p) - up(w)
+            assert up_gain[i, j] == ltr_maxima(reversed(w[:j]))
+            assert down_gain[i, j] == down(p) - down(w)
+            for r in range(1, n):
+                gain = rth_gain[r][i, j]
+                assert gain == rth(p, r) - rth(w, r)
+                assert gain == sum(1 for q in range(j, n - 1)
+                                   if sum(1 for c in w[j:q] if c > w[q]) < r)
 
 
-def test_pool_starts_only_from_n_9(monkeypatch):
-    blocks_seen = []
+def _blocks_seen(monkeypatch):
+    seen = []
     real = stats.map_blocks
 
     def counted(fn, blocks, jobs):
-        blocks_seen.append(len(blocks))
+        seen.append(len(blocks))
         return real(fn, blocks, jobs)
 
     monkeypatch.setattr(stats, "map_blocks", counted)
-    stats.exhaustive(8, "down", jobs=2)
+    return seen
+
+
+def test_one_block_up_to_n_10(monkeypatch):
+    seen = _blocks_seen(monkeypatch)
     stats.exhaustive(9, "down", jobs=2)
-    assert blocks_seen == [1, 24]
+    stats.exhaustive(10, "down", jobs=2)
+    assert seen == [1, 1]
+    assert [stats._block_depth(n) for n in (1, 10, 11, 12)] == [0, 0, 4, 5]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_blocks_at_any_depth_merge_to_the_one_piece_scan(n, monkeypatch):
+    for stat, r in _cases(n):
+        whole = stats.exhaustive(n, stat, r=r, jobs=1)
+        for depth in range(2, n):
+            seen = _blocks_seen(monkeypatch)
+            monkeypatch.setattr(stats, "_block_depth", lambda n, depth=depth: depth)
+            assert stats.exhaustive(n, stat, r=r, jobs=1) == whole, (stat, r, depth)
+            assert seen == [math.factorial(depth)]
+            monkeypatch.undo()
 
 
 def test_validation_matches_distribution():

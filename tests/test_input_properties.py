@@ -3,6 +3,8 @@
 The parsers see arbitrary text, including text drawn from their own
 alphabets so that it often gets past the first token.  ``reconstruct`` on the
 command line exits 0, 1 or 2 for any file and never succeeds below n = 1.
+Integer tokens are ASCII digits with an optional sign, and a declared degree
+above ``MAX_DEGREE`` is refused before anything n-sized is allocated.
 """
 import contextlib
 import io
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import main
 from bruhat_degrees.graphs import LabeledGraph
-from bruhat_degrees.perm import parse_permutation
+from bruhat_degrees.perm import MAX_DEGREE, parse_permutation
 
 CHARS = st.characters(blacklist_categories=("Cs",))
 TEXT = st.one_of(
@@ -24,13 +26,15 @@ TEXT = st.one_of(
     st.text('{}[]":,0123456789-.nrmembersedgtu ', max_size=60),
 )
 # JSON objects with the expected keys and small integers, so the field and
-# member checks run; vertex counts stay small because graphs allocate n rows
+# member checks run; the degree n also takes values far beyond the size cap,
+# which must be refused before any n-sized allocation
 SMALL = st.integers(-3, 12)
+DEGREE = st.one_of(SMALL, st.integers(MAX_DEGREE - 2, MAX_DEGREE + 2), st.integers(min_value=0))
 JSON_VALUES = st.recursive(
     st.one_of(st.none(), st.booleans(), SMALL, st.floats(allow_nan=False), st.text(max_size=3)),
     lambda inner: st.lists(inner, max_size=4), max_leaves=12)
 DESCENT_JSON = st.fixed_dictionaries(
-    {"n": st.one_of(SMALL, JSON_VALUES), "r": st.one_of(SMALL, JSON_VALUES),
+    {"n": st.one_of(DEGREE, JSON_VALUES), "r": st.one_of(SMALL, JSON_VALUES),
      "members": st.one_of(st.lists(st.lists(SMALL, max_size=3), max_size=6), JSON_VALUES)})
 
 
@@ -48,7 +52,7 @@ def test_parse_permutation(text):
 
 
 @settings(max_examples=200, deadline=None)
-@given(SMALL, SMALL, TEXT)
+@given(DEGREE, SMALL, TEXT)
 def test_descent_set_from_text(n, r, text):
     _parses_or_value_error(lambda t: StrongDescentSet.from_text(n, r, t), text)
 
@@ -66,6 +70,13 @@ def test_graph_from_json(text):
     _parses_or_value_error(LabeledGraph.from_json, text)
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def set_file(tmp_path_factory):
     return tmp_path_factory.mktemp("reconstruct") / "set.txt"
@@ -76,11 +87,33 @@ def set_file(tmp_path_factory):
        text=st.one_of(TEXT, DESCENT_JSON.map(json.dumps)))
 def test_reconstruct_cli_exit_codes(set_file, n, text):
     set_file.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["reconstruct", str(n), str(set_file)])
+    code, out, err = _run(["reconstruct", str(n), str(set_file)])
     assert code in (0, 1, 2)
     if n < 1:
         assert code != 0
     if code:
-        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("2 1_0 3 4 5 6 7 8 9 1", "1_0"), ("\u0662 \u0661", "\u0662"), ("\uff12 \uff11", "\uff12")])
+def test_integer_tokens_are_ascii_digits(text, bad):
+    assert _run(["degrees", text]) == (2, "", f"error: invalid value {bad!r}\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0662", "\uff12"])
+def test_descent_tokens_are_ascii_digits(token):
+    with pytest.raises(ValueError, match="invalid literal"):
+        StrongDescentSet.from_text(12, 1, f"t(1,{token})")
+
+
+def test_degree_cap_checked_before_allocation(set_file):
+    huge = 10 ** 20
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        LabeledGraph.from_json(json.dumps({"n": huge, "edges": []}))
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        StrongDescentSet(MAX_DEGREE + 1, 1, ())
+    set_file.write_text("", encoding="utf-8")
+    assert _run(["reconstruct", str(huge), str(set_file)]) == (
+        2, "", f"error: degree n={huge} exceeds the cap {MAX_DEGREE}\n")
+    assert _run(["reconstruct", "3", str(set_file)]) == (0, "[1,2,3]\n", "")
