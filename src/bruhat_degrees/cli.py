@@ -27,7 +27,16 @@ import sys
 from . import bruhat, extremal, graphs, stats, verification
 from ._parallel import default_jobs
 from .reconstruct import ValidationFailure, reconstruct
-from .perm import InvalidPermutationError, parse_permutation
+from .perm import InvalidPermutationError, _parse_int, parse_permutation
+
+
+def _int(token: str) -> int:
+    """argparse type of every integer argument: ASCII digits with an optional
+    sign, where ``int`` alone also reads ``1_0`` and non-ASCII digits."""
+    return _parse_int(token)
+
+
+_int.__name__ = "int"  # argparse names the type in its message: "invalid int value"
 
 
 class _JobsAction(argparse.Action):
@@ -40,7 +49,7 @@ class _JobsAction(argparse.Action):
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, action=_JobsAction,
+    parser.add_argument("--jobs", type=_int, default=None, action=_JobsAction,
                         help="worker processes (default: all cores)")
 
 
@@ -56,53 +65,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("descents", help="r-th strong descent set")
     p.add_argument("perm")
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=_int, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("graph", help="graph view of a permutation")
     p.add_argument("perm")
     p.add_argument("--kind", choices=("descent", "total", "rth"), default="descent")
-    p.add_argument("--r", type=int, default=1, help="order for --kind rth")
+    p.add_argument("--r", type=_int, default=1, help="order for --kind rth")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
     p = sub.add_parser("reconstruct", help="permutation from a descent-set file")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("set_file", help="descent set as JSON or 't(a,b) ...' text")
 
     p = sub.add_parser("extremal", help="permutations attaining a degree maximum")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--stat", choices=("down", "total"), default="down")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("expect", help="exact expected down degree")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", default=True)
     mode.add_argument("--float", dest="as_float", action="store_true")
 
     p = sub.add_parser("distribution", help="exact histogram over all of S_n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--stat", choices=("down", "total", "rth"), default="down")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--limit", type=int, default=stats.MAX_EXHAUSTIVE_N,
+    p.add_argument("--r", type=_int, default=None)
+    p.add_argument("--limit", type=_int, default=stats.MAX_EXHAUSTIVE_N,
                    help="exhaustive size limit (n! permutations are scanned)")
     _add_jobs(p)
 
     p = sub.add_parser("sample", help="Monte Carlo estimate of a statistic")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--stat", choices=("down", "total", "rth"), default="down")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--r", type=_int, default=None)
+    p.add_argument("--samples", type=_int, default=10_000)
+    p.add_argument("--seed", type=_int, required=True)
     _add_jobs(p)
 
     p = sub.add_parser("verify", help="check every theorem, print one line per fact")
-    p.add_argument("--max-n", type=int, default=6,
+    p.add_argument("--max-n", type=_int, default=6,
                    help="exhaustive checks run for all n up to this bound")
     p.add_argument("--sampled-n", default="40",
                    help="comma-separated degrees for the sampled checks")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int, default=1000)
+    p.add_argument("--seed", type=_int, default=0)
     _add_jobs(p)
 
     return parser
@@ -204,7 +213,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    sampled = tuple(int(tok) for tok in str(args.sampled_n).split(",") if tok.strip())
+    sampled = tuple(_parse_int(tok.strip()) for tok in str(args.sampled_n).split(",")
+                    if tok.strip())
     if any(n < 3 for n in sampled):
         raise ValueError(f"--sampled-n sizes must be >= 3, got {args.sampled_n}")
     opts = verification.VerifyOptions(

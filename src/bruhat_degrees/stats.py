@@ -342,18 +342,37 @@ def _permutations(W: np.ndarray) -> list[Permutation]:
 
 
 def down_degrees_batch(W: np.ndarray) -> np.ndarray:
-    """Down degree of every row of W (rows are one-line permutations)."""
-    m, n = W.shape
-    count = np.zeros(m, dtype=np.int64)
-    for i in range(n - 1):
-        b = W[:, i]
-        best = np.zeros(m, dtype=W.dtype)
-        for k in range(i + 1, n):
-            a = W[:, k]
-            hit = (a < b) & (a > best)
-            count += hit
-            best = np.where(hit, a, best)
-    return count
+    """Down degree of every row of W (rows are one-line permutations), as
+    ``int64``.
+
+    The pair of positions i < k is a cover when W[k] < W[i] and no letter
+    between them lies in (W[k], W[i]); walking k rightwards from i, that is
+    when W[k] beats ``best``, the largest letter below W[i] seen so far.
+    The walk is offset-major: W is transposed once into contiguous columns
+    C of the smallest signed type that holds n (``int8`` up to n = 127,
+    then ``int16``, then ``int32``), and round d = 1..n-1 tests C[i + d]
+    against C[i] for every start i of every row at once, in place.  That
+    is n - 1 rounds of numpy calls.  A round zeroes the letters that are
+    not below their start; what is left beats ``best`` exactly at a cover,
+    and ``best`` takes the maximum, so no masked copy is needed.  The
+    covers of each start are counted in a slab of the letters' type (at
+    most n - 1 of them) and summed per row at the end.
+    """
+    rows, n = W.shape
+    dtype = np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
+    C = np.ascontiguousarray(W.T, dtype=dtype)
+    best = np.zeros_like(C)  # best[i]: the largest letter below C[i] seen so far
+    covers = np.zeros_like(C)  # covers[i]: the covers found from start i
+    low = np.empty_like(C)
+    hit = np.empty(C.shape, dtype=bool)
+    for d in range(1, n):
+        a, b, top, m, h = C[d:], C[:n - d], best[:n - d], low[:n - d], hit[:n - d]
+        np.less(a, b, out=m)
+        m *= a  # C[i + d] where it is below C[i], else 0
+        np.greater(m, top, out=h)
+        np.maximum(top, m, out=top)
+        covers[:n - d] += h
+    return covers.sum(axis=0, dtype=np.int64)
 
 
 def _mc_block(args: tuple[int, str, int, int, int, int]) -> tuple[int, int, int]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -6,10 +7,10 @@ import sys
 
 import pytest
 
-from bruhat_degrees import bruhat, stats, verification
+from bruhat_degrees import bruhat, cli, stats, verification
 from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
-from bruhat_degrees.cli import main
+from bruhat_degrees.cli import build_parser, main
 from bruhat_degrees.perm import Permutation, Transposition
 
 EXAMPLE_TEXT = "[7,9,5,2,3,8,4,1,6]"
@@ -186,6 +187,31 @@ class TestExpectAndSampling:
         assert out1 == out2
         assert out1.startswith("mean=")
 
+    @pytest.mark.parametrize("argv,expected", [
+        ("sample 50 --samples 20000 --seed 7",
+         "mean=129.5614 stderr=0.06922540075583228 samples=20000 seed=7"),
+        ("sample 200 --stat total --samples 2000 --seed 3",
+         "mean=1562.6325 stderr=0.4665753617145164 samples=2000 seed=3"),
+        # three blocks of at most 20 000 samples
+        ("sample 12 --samples 45000 --seed 5",
+         "mean=16.349333333333334 stderr=0.012133070907081345 samples=45000 seed=5"),
+    ])
+    def test_sample_output_pinned(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out == expected + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        "sample 12 --samples 45000 --seed 5",
+        "sample 12 --stat total --samples 45000 --seed 5",
+        "sample 8 --stat rth --r 2 --samples 45000 --seed 5",
+    ] + [f"distribution {n}" for n in range(1, 8)])
+    def test_output_independent_of_jobs(self, capsys, argv):
+        serial = run_cli(capsys, *argv.split(), "--jobs", "1")
+        parallel = run_cli(capsys, *argv.split(), "--jobs", "2")
+        assert serial[0] == 0
+        assert serial == parallel
+
     def test_sample_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sample", "8"])
@@ -351,3 +377,70 @@ class TestInputBoundaries:
         assert code == 2
         assert out == ""
         assert err == f"error: --sampled-n sizes must be >= 3, got {sizes}\n"
+
+
+# every integer argument of the parser, with {} where the token goes
+INTEGER_ARGV = [
+    "descents [2,1,3] --r {}",
+    "graph [2,1,3] --kind rth --r {}",
+    "reconstruct {} set.txt",
+    "extremal {}",
+    "expect {}",
+    "distribution {}",
+    "distribution 3 --stat rth --r {}",
+    "distribution 3 --limit {}",
+    "distribution 3 --jobs {}",
+    "sample {} --seed 1",
+    "sample 8 --stat rth --r {} --seed 1",
+    "sample 8 --samples {} --seed 1",
+    "sample 8 --seed {}",
+    "sample 8 --seed 1 --jobs {}",
+    "verify --max-n {}",
+    "verify --sampled-n {}",
+    "verify --samples {}",
+    "verify --seed {}",
+    "verify --jobs {}",
+]
+
+
+def run_cli_exit(capsys, argv):
+    """Exit code, stdout and stderr of main, whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestIntegerArguments:
+    def test_every_integer_argument_is_listed(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {(command, (action.option_strings or [action.dest])[0])
+                    for command, p in sub.choices.items() for action in p._actions
+                    if action.type is cli._int}
+        listed = set()
+        for argv in INTEGER_ARGV:
+            words = argv.split()
+            flag = words[words.index("{}") - 1]
+            listed.add((words[0], flag if flag.startswith("--") else "n"))
+        assert declared | {("verify", "--sampled-n")} == listed
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff13"])
+    @pytest.mark.parametrize("argv", INTEGER_ARGV)
+    def test_non_ascii_digits_are_usage_errors(self, capsys, argv, token):
+        code, out, err = run_cli_exit(capsys, argv.format(token).split())
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and repr(token) in err
+
+    def test_argparse_wording_kept(self, capsys):
+        code, out, err = run_cli_exit(capsys, ["distribution", "abc"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument n: invalid int value: 'abc'\n")
+
+    def test_sampled_n_wording_kept(self, capsys):
+        code, out, err = run_cli_exit(capsys, ["verify", "--sampled-n", "40,4x"])
+        assert (code, out) == (2, "")
+        assert err == "error: invalid literal for int() with base 10: '4x'\n"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -170,6 +171,37 @@ class TestBatchHelpers:
             p = Permutation(tuple(int(x) for x in row))
             assert down_degree(p) == d
             assert up_degree(p) == u
+
+    @staticmethod
+    def assert_kernel_matches_scans(W):
+        n = W.shape[1]
+        downs, ups = down_degrees_batch(W), down_degrees_batch(n + 1 - W)
+        assert downs.dtype == ups.dtype == np.int64
+        assert downs.shape == ups.shape == (W.shape[0],)
+        for w, d, u in zip(W.tolist(), downs.tolist(), ups.tolist()):
+            assert d == len(bruhat._down_pairs_word(w))
+            assert u == len(bruhat._up_pairs_word(w))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_kernel_on_all_of_sn(self, n):
+        W = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+        self.assert_kernel_matches_scans(W)
+
+    @pytest.mark.parametrize("n", [126, 127, 128, 129, 300])
+    def test_kernel_across_letter_types(self, n):
+        # int8 columns hold letters up to 127, int16 from n = 128
+        self.assert_kernel_matches_scans(random_permutation_matrix(n, 40, (n, 7)))
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_kernel_on_zero_rows(self, n):
+        degrees = down_degrees_batch(np.zeros((0, n), dtype=np.int64))
+        assert degrees.dtype == np.int64 and degrees.shape == (0,)
+
+    def test_kernel_at_n_one_and_two(self):
+        assert down_degrees_batch(np.array([[1], [1]])).tolist() == [0, 0]
+        degrees = down_degrees_batch(np.array([[1, 2], [2, 1], [2, 1]]))
+        assert degrees.dtype == np.int64
+        assert degrees.tolist() == [0, 1, 1]
 
     def test_matrix_rows_are_permutations(self):
         W = random_permutation_matrix(12, 25, (3, 4))
