@@ -25,7 +25,6 @@ import json
 import sys
 
 from . import bruhat, extremal, graphs, stats, verification
-from ._parallel import default_jobs
 from .reconstruct import ValidationFailure, reconstruct
 from .perm import InvalidPermutationError, _parse_int, parse_permutation
 
@@ -105,13 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int, required=True)
     _add_jobs(p)
 
+    defaults = verification.VerifyOptions()
     p = sub.add_parser("verify", help="check every theorem, print one line per fact")
-    p.add_argument("--max-n", type=_int, default=6,
+    p.add_argument("--max-n", type=_int, default=defaults.max_n,
                    help="exhaustive checks run for all n up to this bound")
-    p.add_argument("--sampled-n", default="40",
+    p.add_argument("--sampled-n", default=",".join(map(str, defaults.sampled_n)),
                    help="comma-separated degrees for the sampled checks")
-    p.add_argument("--samples", type=_int, default=1000)
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--samples", type=_int, default=defaults.samples)
+    p.add_argument("--seed", type=_int, default=defaults.seed)
     _add_jobs(p)
 
     return parser
@@ -208,25 +208,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # --samples also sizes the reconstruction samples, which run at any --sampled-n
-    if args.max_n < 2:
-        raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     sampled = tuple(_parse_int(tok.strip()) for tok in str(args.sampled_n).split(",")
                     if tok.strip())
-    if any(n < 3 for n in sampled):
-        raise ValueError(f"--sampled-n sizes must be >= 3, got {args.sampled_n}")
-    opts = verification.VerifyOptions(
-        max_n=args.max_n,
-        sampled_n=sampled,
-        samples=args.samples,
-        seed=args.seed,
-        jobs=args.jobs if args.jobs is not None else default_jobs(),
-    )
-    if args.max_n > stats.MAX_EXHAUSTIVE_N:
-        raise ValueError(
-            f"--max-n {args.max_n} exceeds the exhaustive limit {stats.MAX_EXHAUSTIVE_N}")
+    opts = verification.VerifyOptions(max_n=args.max_n, sampled_n=sampled,
+                                      samples=args.samples, seed=args.seed, jobs=args.jobs)
     results = verification.run_all(opts)
     sys.stdout.write(verification.render_report(results))
     return 0 if all(r.passed for r in results) else 1

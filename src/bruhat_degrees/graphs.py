@@ -78,8 +78,7 @@ class LabeledGraph:
     def has_clique(self, k: int) -> bool:
         """Exact test for a complete subgraph on k vertices.
 
-        Branch and bound over bitmask candidate sets: vertices below the
-        (k-1)-core are peeled off first, then the search prunes on the
+        Branch and bound over bitmask candidate sets, pruned on the
         candidate count and a greedy coloring bound.
         """
         if k < 1:
@@ -87,20 +86,6 @@ class LabeledGraph:
         if k == 1:
             return self.n >= 1
         rows = self.rows
-        alive = (1 << self.n) - 1
-        # peel vertices that cannot lie in a k-clique
-        changed = True
-        while changed and alive:
-            changed = False
-            m = alive
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if (rows[v] & alive).bit_count() < k - 1:
-                    alive &= ~(1 << v)
-                    changed = True
-        if alive.bit_count() < k:
-            return False
 
         def color_bound(pool: int) -> int:
             bound = 0
@@ -131,7 +116,7 @@ class LabeledGraph:
                     return True
             return False
 
-        return expand(alive, k)
+        return expand((1 << self.n) - 1, k)
 
     def is_triangle_free(self) -> bool:
         return not self.has_clique(3)

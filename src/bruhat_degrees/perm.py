@@ -121,9 +121,6 @@ class Permutation:
         """1-based position of the value v."""
         return self.values.index(v) + 1
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.values))
-
     def inverse(self) -> "Permutation":
         """The group inverse.
 

@@ -68,11 +68,29 @@ class CheckResult:
 
 @dataclass
 class VerifyOptions:
+    """What a verify run examines.  Options that would examine nothing, or
+    that no check can serve, are refused here, so the CLI and library callers
+    get the same one-line errors.  --samples also sizes the reconstruction
+    samples, which run at any --sampled-n."""
     max_n: int = 6
     sampled_n: tuple[int, ...] = (40,)
     samples: int = 1000
     seed: int = 0
     jobs: int | None = 1
+
+    def __post_init__(self) -> None:
+        if self.max_n < 2:
+            raise ValueError(f"--max-n must be >= 2, got {self.max_n}")
+        if self.samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {self.samples}")
+        if any(n < 3 for n in self.sampled_n):
+            raise ValueError("--sampled-n sizes must be >= 3, got "
+                             + ",".join(map(str, self.sampled_n)))
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+        if self.max_n > stats.MAX_EXHAUSTIVE_N:
+            raise ValueError(f"--max-n {self.max_n} exceeds the exhaustive limit "
+                             f"{stats.MAX_EXHAUSTIVE_N}")
 
 
 def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
@@ -86,9 +104,7 @@ def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
 
 def _exhaustive(opts: VerifyOptions, n: int, stat: str) -> stats.ExhaustiveScan:
     """The engine's scan of S_n for one statistic, once per verify run: the
-    maxima, classification and expectation checks all read it.  Options
-    built by hand can ask for any n, so the exhaustive limit holds here."""
-    stats._check_limit(n, stats.MAX_EXHAUSTIVE_N)
+    maxima, classification and expectation checks all read it."""
     return _per_run(opts, ("scan", n, stat), lambda: stats.exhaustive(n, stat, jobs=opts.jobs))
 
 

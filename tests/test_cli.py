@@ -379,6 +379,47 @@ class TestInputBoundaries:
         assert err == f"error: --sampled-n sizes must be >= 3, got {sizes}\n"
 
 
+class TestVerifyOptions:
+    @pytest.mark.parametrize("fields,message", [
+        # options that would examine nothing
+        (dict(max_n=0, sampled_n=(), samples=0), "--max-n must be >= 2, got 0"),
+        (dict(max_n=1), "--max-n must be >= 2, got 1"),
+        (dict(samples=0), "--samples must be >= 1, got 0"),
+        (dict(samples=-5, sampled_n=(2,)), "--samples must be >= 1, got -5"),
+        (dict(sampled_n=(40, 2)), "--sampled-n sizes must be >= 3, got 40,2"),
+        (dict(sampled_n=(1,), seed=-1), "--sampled-n sizes must be >= 3, got 1"),
+        (dict(seed=-1), "--seed must be >= 0, got -1"),
+        (dict(seed=-1, max_n=12), "--seed must be >= 0, got -1"),
+        (dict(max_n=12), "--max-n 12 exceeds the exhaustive limit 9"),
+    ])
+    def test_faults_refused_in_order(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            verification.VerifyOptions(**fields)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("fields", [
+        dict(max_n=2, sampled_n=(), samples=1, seed=0),
+        dict(max_n=stats.MAX_EXHAUSTIVE_N, sampled_n=(3,)),
+    ])
+    def test_boundaries_accepted(self, fields):
+        verification.VerifyOptions(**fields)
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--seed", "-1", "--max-n", "2",
+                                 "--sampled-n", "3", "--samples", "2")
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("argv,jobs", [([], None), (["--jobs", "2"], 2)])
+    def test_cli_hands_options_to_run_all(self, capsys, monkeypatch, argv, jobs):
+        # the parser's defaults are VerifyOptions()'s, and an absent --jobs
+        # stays None for map_blocks to resolve
+        seen = []
+        monkeypatch.setattr(verification, "run_all", lambda opts: seen.append(opts) or [])
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (0, "0/0 checks passed\n")
+        assert seen == [verification.VerifyOptions(jobs=jobs)]
+
+
 # every integer argument of the parser, with {} where the token goes
 INTEGER_ARGV = [
     "descents [2,1,3] --r {}",

@@ -1,9 +1,11 @@
-"""Every module-level function, class and constant of the package is used.
+"""Every module-level function, class and constant, and every public method,
+of the package is used.
 
-A name defined at the top level of a module in ``src/bruhat_degrees`` must be
-referenced somewhere in ``src``, ``tests``, ``perfbench`` or ``demos``: read
-as a variable, as an attribute, or imported by name.  Its own definition does
-not count.  Dunder names such as ``__all__`` are exempt.  Like
+A name defined at the top level of a module in ``src/bruhat_degrees``, or a
+method without a leading underscore defined in one of its top-level classes,
+must be referenced somewhere in ``src``, ``tests``, ``perfbench`` or
+``demos``: read as a variable, as an attribute, or imported by name.  Its own
+definition does not count.  Dunder names such as ``__all__`` are exempt.  Like
 ``test_imports.py``, this parses the sources with the standard-library
 ``ast``, since no linter ships with the test environment.
 """
@@ -23,6 +25,10 @@ def defined_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not item.name.startswith("_"))
     return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
@@ -46,13 +52,17 @@ def dead_names(package: dict[str, str], others: list[str]) -> list[str]:
     for tree in [*trees.values(), *map(ast.parse, others)]:
         used |= referenced_names(tree)
     return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in defined_names(tree) - used)
+                  for name in defined_names(tree) if name.split(".")[-1] not in used)
 
 
 def test_detects_a_dead_name():
     package = {"a": "LIMIT = 3\n_SPARE = 4\ndef f():\n    return LIMIT\nclass K:\n    pass\n",
                "__init__": "from .a import f\n__all__ = ['f']\n"}
     assert dead_names(package, ["import a\na.K()\n"]) == ["a._SPARE"]
+    package["a"] += "class M:\n    def used(self):\n        return self._own()\n" \
+                    "    def spare(self):\n        pass\n    def _own(self):\n        pass\n"
+    assert dead_names(package, ["import a\na.K()\na.M().used()\n"]) == [
+        "a.M.spare", "a._SPARE"]
 
 
 def test_no_dead_names():

@@ -2,7 +2,9 @@
 
 The parsers see arbitrary text, including text drawn from their own
 alphabets so that it often gets past the first token.  ``reconstruct`` on the
-command line exits 0, 1 or 2 for any file and never succeeds below n = 1.
+command line exits 0, 1 or 2 for any file and never succeeds below n = 1;
+``degrees``, ``descents``, ``graph``, ``distribution``, ``sample`` and
+``expect`` exit 0 or 2 for any argument text.
 Integer tokens are ASCII digits with an optional sign, and a declared degree
 above ``MAX_DEGREE`` is refused before anything n-sized is allocated.
 """
@@ -117,3 +119,78 @@ def test_degree_cap_checked_before_allocation(set_file):
     assert _run(["reconstruct", str(huge), str(set_file)]) == (
         2, "", f"error: degree n={huge} exceeds the cap {MAX_DEGREE}\n")
     assert _run(["reconstruct", "3", str(set_file)]) == (0, "[1,2,3]\n", "")
+
+
+# The remaining commands on arbitrary argument text.  Values go in as
+# --flag=value and positionals after --, so that text such as -h reaches the
+# program instead of reading as an option.  n stays small and --jobs and
+# --limit are not drawn, since a large n or limit asks sample for an n-wide
+# matrix per draw, expect for seconds of exact arithmetic and distribution
+# for n! permutations.
+def mostly(valid, other=TEXT):
+    """valid three draws in four, other the rest, so that most examples get
+    past argparse to the program."""
+    return st.integers(0, 3).flatmap(lambda i: other if i == 0 else valid)
+
+
+def choice(*valid):
+    return mostly(st.sampled_from(valid))
+
+
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=10)
+SIZE = mostly(st.integers(-3, 12).map(str), NO_DIGITS)
+PERM = mostly(st.integers(1, 9).flatmap(lambda n: st.permutations(range(1, n + 1)))
+              .map(lambda values: " ".join(map(str, values))))
+ORDER = mostly(SMALL.map(str))
+
+
+def _run_exit(argv):
+    """Run the CLI on argv: main returns 0, or 2 with one stderr line and no
+    stdout, or argparse exits with 2.  Anything raised fails the test."""
+    try:
+        code, out, err = _run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    assert code in (0, 2)
+    if code:
+        assert out == "" and err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(PERM, st.booleans())
+def test_degrees_cli(perm, listed):
+    _run_exit(["degrees", *(["--list"] if listed else []), "--", perm])
+
+
+@settings(max_examples=100, deadline=None)
+@given(PERM, ORDER, choice("text", "json"))
+def test_descents_cli(perm, r, fmt):
+    _run_exit(["descents", f"--r={r}", f"--format={fmt}", "--", perm])
+
+
+@settings(max_examples=100, deadline=None)
+@given(PERM, choice("descent", "total", "rth"), ORDER, choice("dot", "json"))
+def test_graph_cli(perm, kind, r, fmt):
+    _run_exit(["graph", f"--kind={kind}", f"--r={r}", f"--format={fmt}", "--", perm])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIZE, choice("down", "total", "rth"), st.one_of(st.none(), ORDER))
+def test_distribution_cli(n, stat, r):
+    _run_exit(["distribution", f"--stat={stat}", *([] if r is None else [f"--r={r}"]),
+               "--", n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIZE, choice("down", "total", "rth"), st.one_of(st.none(), ORDER),
+       st.integers(-2, 200), st.integers(-2, 5))
+def test_sample_cli(n, stat, r, samples, seed):
+    _run_exit(["sample", f"--stat={stat}", *([] if r is None else [f"--r={r}"]),
+               f"--samples={samples}", f"--seed={seed}", "--", n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(SIZE, st.booleans())
+def test_expect_cli(n, as_float):
+    _run_exit(["expect", *(["--float"] if as_float else []), "--", n])
