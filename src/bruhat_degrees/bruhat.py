@@ -14,13 +14,17 @@ r = n-1 gives all inversions.
 Each statistic has one positional scan, O(n^2), that lists its pairs:
 ``_down_pairs_word`` (covers), ``_up_pairs_word`` (up-edges) and
 ``_descent_pairs_word`` (r-th strong descents); the degrees are the lengths
-of those lists.  The inversion-number route (``length_change``) and the
-numpy prefix-sum table (``between_counts``) are kept as independent oracles.
+of those lists.  From each start b, the cover scan holds the largest letter
+below b seen so far and the r-th scan the r largest, so a later letter
+a < b counts exactly when fewer than r are held or a lies above the least
+of them; both walks stop once they hold b-r..b-1, after which no letter
+counts.  The inversion-number route (``length_change``) and the numpy
+prefix-sum table (``between_counts``) are kept as independent oracles.
 """
 from __future__ import annotations
 
 import json
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -162,20 +166,36 @@ def _up_pairs_word(w: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def _descent_pairs_word(w: Sequence[int], r: int) -> list[tuple[int, int]]:
-    """Pairs (a, b) in the r-th strong descent set, bisect scan."""
+    """Pairs (a, b) in the r-th strong descent set, top-r scan.
+
+    From each start b, ``top`` holds the at most r largest letters below b
+    seen so far, ascending.  A later letter a has fewer than r of them in
+    (a, b) exactly when ``floor < a < b``, where ``floor`` is 0 until r
+    letters are held and ``top[0]`` after.  Only such a letter enters
+    ``top``, and once ``floor`` reaches b - r, ``top`` is b-r..b-1 and no
+    later letter counts, so the walk stops (at r = 1, the cover scan's
+    break at b - 1).
+    """
     n = len(w)
     out = []
     for i in range(n - 1):
         b = w[i]
         if b == 1:
             continue
-        below: list[int] = []  # sorted values < b seen after position i
+        stop = b - r
+        top: list[int] = []
+        floor = 0
         for k in range(i + 1, n):
             a = w[k]
-            if a < b:
-                if len(below) - bisect_right(below, a) < r:
-                    out.append((a, b))
-                insort(below, a)
+            if floor < a < b:
+                out.append((a, b))
+                insort(top, a)
+                if len(top) > r:
+                    del top[0]
+                if len(top) == r:
+                    floor = top[0]
+                    if floor == stop:
+                        break
     return out
 
 
@@ -274,7 +294,7 @@ def rth_down_degree(p: Permutation, r: int) -> int:
 
 
 def _rth_pairs(p: Permutation, r: int) -> list[tuple[int, int]]:
-    # at r = 1 the cover scan lists the same pairs without the bisect bookkeeping
+    # at r = 1 the cover scan lists the same pairs without the list of r letters
     _check_order(p.n, r)
     return _down_pairs_word(p.values) if r == 1 else _descent_pairs_word(p.values, r)
 

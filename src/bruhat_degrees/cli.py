@@ -188,7 +188,19 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
 
 def _cmd_expect(args: argparse.Namespace) -> int:
     value = stats.expected_down_degree(args.n)
-    print(repr(float(value)) if args.as_float else f"{value.numerator}/{value.denominator}")
+    if args.as_float:
+        print(repr(float(value)))
+        return 0
+    # the numerator passes str()'s 4300-digit limit from n = 9870; lift the
+    # limit for this print only, on the Pythons that have one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(f"{value.numerator}/{value.denominator}")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

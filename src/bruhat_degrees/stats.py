@@ -40,7 +40,7 @@ import numpy as np
 
 from . import bruhat
 from ._parallel import block_sizes, map_blocks
-from .perm import Permutation, _value_tuples, ltr_maxima
+from .perm import Permutation, _check_degree_cap, _value_tuples, ltr_maxima
 
 MAX_EXHAUSTIVE_N = 9
 
@@ -80,6 +80,7 @@ def expected_down_degree(n: int) -> Fraction:
     >>> expected_down_degree(3)
     Fraction(4, 3)
     """
+    _check_degree_cap(n)  # H_n is one exact fraction, superlinear in n
     if n < 1:
         raise ValueError("degree must be >= 1")
     return (n + 1) * harmonic(n) - 2 * n
@@ -333,7 +334,9 @@ def random_permutation_matrix(n: int, count: int, seed_key: tuple[int, ...]) -> 
     """count uniform permutations of {1..n} as rows, from a PCG64 stream
     keyed by seed_key (deterministic across platforms and job counts)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    return rng.permuted(np.tile(np.arange(1, n + 1), (count, 1)), axis=1)
+    W = np.tile(np.arange(1, n + 1), (count, 1))
+    rng.permuted(W, axis=1, out=W)  # in place: one n x count matrix, not two
+    return W
 
 
 def _permutations(W: np.ndarray) -> list[Permutation]:
@@ -407,6 +410,8 @@ def monte_carlo_mean(
     _check_stat(n, stat, r)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     blocks = [(n, stat, r or 0, seed, index, take)
               for index, take in enumerate(block_sizes(samples, _MC_BLOCK))]
     parts = map_blocks(_mc_block, blocks, jobs)

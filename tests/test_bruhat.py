@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +207,73 @@ class TestStrongDescentSets:
                          if pos[b] < pos[a] and counts[a - 1, b - 1] < r]
                 assert sorted(_descent_pairs_word(p.values, r)) == table
                 assert strong_descent_set(p, r).pairs() == table
+
+
+# words whose walks stop early: from b, the letters b-r..b-1 follow soon
+EARLY_STOP_WORDS = [
+    (10, 9, 8, 7, 1, 2, 3, 4, 5, 6),
+    (5, 1, 4, 3, 2, 6),
+    (9, 1, 8, 2, 7, 3, 6, 4, 5),
+    (8, 7, 6, 5, 4, 3, 2, 1),
+]
+
+
+class _ReadLog(tuple):
+    """A word that logs the position of every letter read from it."""
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return tuple.__getitem__(self, k)
+
+
+def _scan_order(w, pairs):
+    """pairs in the order the scan emits them: by the position of b, then
+    by the position of a."""
+    pos = {v: i for i, v in enumerate(w)}
+    return sorted(pairs, key=lambda ab: (pos[ab[1]], pos[ab[0]]))
+
+
+class TestTopRScan:
+    @pytest.mark.parametrize("n", [200, 500])
+    def test_large_rows_against_the_table(self, n):
+        p = random_permutation(n, random.Random(n))
+        counts, pos = between_counts(p)
+        a, b = np.triu_indices(n, 1)  # value pairs a < b, 0-based, sorted
+        after = pos[b + 1] < pos[a + 1]
+        for r in sorted({1, 2, 3, 5, n // 4, n // 2, n - 1}):
+            hit = after & (counts[a, b] < r)
+            table = list(zip((a[hit] + 1).tolist(), (b[hit] + 1).tolist()))
+            assert _descent_pairs_word(p.values, r) == _scan_order(p.values, table), r
+
+    @pytest.mark.parametrize("w", EARLY_STOP_WORDS)
+    def test_early_stop_words_against_length_change(self, w):
+        p = from_one_line(list(w))
+        for r in range(1, min(3, len(w) - 1) + 1):
+            members = [(t.a, t.b) for t in all_transpositions(len(w))
+                       if 0 > length_change(t, p) > -2 * r]
+            assert _descent_pairs_word(w, r) == _scan_order(w, members), r
+
+    @pytest.mark.parametrize("w", EARLY_STOP_WORDS + [
+        tuple(random_permutation(30, seed).values) for seed in range(3)])
+    def test_walk_stops_once_b_minus_r_to_b_minus_1_are_seen(self, w):
+        # the walk from position i reads up to the position where the last of
+        # b-r..b-1 appears, or to the end when one of them came before i
+        n = len(w)
+        for r in range(1, min(5, n - 1) + 1):
+            expected = []
+            for i, b in enumerate(w[:-1]):
+                expected.append(i)
+                if b == 1:
+                    continue
+                later = {v: k for k, v in enumerate(w) if k > i}
+                needed = range(max(b - r, 1), b)
+                end = (max(later[v] for v in needed)
+                       if b > r and all(v in later for v in needed) else n - 1)
+                expected.extend(range(i + 1, end + 1))
+            word = _ReadLog(w)
+            word.reads = []
+            _descent_pairs_word(word, r)
+            assert word.reads == expected, r
 
 
 class TestLengthChange:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -173,6 +174,26 @@ class TestExpectAndSampling:
         assert code == 0
         assert out == repr(4 / 3) + "\n"
 
+    def test_exact_past_the_int_digit_limit(self, capsys):
+        # the numerator has more than str()'s default 4300 digits; the CLI
+        # lifts the limit for its print only, and the parse here needs it too
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        limit = get_limit()
+        code, out, err = run_cli(capsys, "expect", "10000")
+        assert (code, err, get_limit()) == (0, "", limit)
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(out.strip()) == stats.expected_down_degree(10000)
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+    def test_expect_above_the_degree_cap(self, capsys):
+        code, out, err = run_cli(capsys, "expect", "100001")
+        assert (code, out) == (2, "")
+        assert err == "error: degree n=100001 exceeds the cap 100000\n"
+
     def test_distribution_json(self, capsys):
         code, out, _ = run_cli(capsys, "distribution", "3")
         assert code == 0
@@ -211,6 +232,10 @@ class TestExpectAndSampling:
         parallel = run_cli(capsys, *argv.split(), "--jobs", "2")
         assert serial[0] == 0
         assert serial == parallel
+
+    def test_sample_negative_seed_names_its_flag(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "5", "--seed=-1", "--samples=3")
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
 
     def test_sample_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as err:

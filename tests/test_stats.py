@@ -72,6 +72,10 @@ class TestExpectation:
         for n in range(1, 6):
             assert exhaustive_mean(n, "total") == 2 * expected_down_degree(n)
 
+    def test_degree_cap(self):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            expected_down_degree(100_001)
+
     def test_expected_ltrm(self):
         assert expected_ltrm(0) == 0
         assert expected_ltrm(2) == Fraction(3, 2)
@@ -247,6 +251,10 @@ class TestMonteCarlo:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_mean(5, "down", samples=1, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"--seed must be >= 0, got -1"):
+            monte_carlo_mean(5, "down", samples=3, seed=-1)
 
     @pytest.mark.parametrize("total,size,expected", [
         (45_000, 20_000, [20_000, 20_000, 5000]),
