@@ -1,8 +1,11 @@
-"""Tiny helper for order-preserving parallel map over picklable blocks."""
+"""Tiny helper for order-preserving parallel map over picklable blocks.
+
+``concurrent.futures`` is imported only when a pool starts, so a caller
+whose work is one block, or runs at one job, never loads it.
+"""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 A = TypeVar("A")
@@ -30,5 +33,7 @@ def map_blocks(fn: Callable[[A], B], blocks: Sequence[A], jobs: int | None) -> l
     jobs = default_jobs() if jobs is None else max(1, jobs)
     if jobs == 1 or len(blocks) <= 1:
         return [fn(block) for block in blocks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
         return list(pool.map(fn, blocks))

@@ -28,8 +28,6 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .perm import (Permutation, Transposition, _check_degree_cap, _parse_int,
                    apply_transposition_left)
 
@@ -211,6 +209,8 @@ def between_counts(p: Permutation | Sequence[int]) -> tuple[np.ndarray, np.ndarr
     is the 0-based position of value v.  Built from a 2-D prefix-sum table,
     O(n^2) time and space.
     """
+    import numpy as np
+
     vals = np.asarray(p.values if isinstance(p, Permutation) else p, dtype=np.int64)
     n = len(vals)
     pos = np.zeros(n + 1, dtype=np.int64)

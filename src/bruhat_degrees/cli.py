@@ -19,12 +19,10 @@ verify timing column aside).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
-from . import bruhat, extremal, graphs, stats, verification
+from . import bruhat, extremal, graphs, stats
 from .reconstruct import ValidationFailure, reconstruct
 from .perm import InvalidPermutationError, _parse_int, parse_permutation
 
@@ -104,14 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int, required=True)
     _add_jobs(p)
 
-    defaults = verification.VerifyOptions()
+    # verify's flags default to None: _cmd_verify hands VerifyOptions only
+    # the flags that were given, so its defaults live in one place
     p = sub.add_parser("verify", help="check every theorem, print one line per fact")
-    p.add_argument("--max-n", type=_int, default=defaults.max_n,
+    p.add_argument("--max-n", type=_int,
                    help="exhaustive checks run for all n up to this bound")
-    p.add_argument("--sampled-n", default=",".join(map(str, defaults.sampled_n)),
-                   help="comma-separated degrees for the sampled checks")
-    p.add_argument("--samples", type=_int, default=defaults.samples)
-    p.add_argument("--seed", type=_int, default=defaults.seed)
+    p.add_argument("--sampled-n", help="comma-separated degrees for the sampled checks")
+    p.add_argument("--samples", type=_int)
+    p.add_argument("--seed", type=_int)
     _add_jobs(p)
 
     return parser
@@ -173,6 +171,9 @@ def _cmd_extremal(args: argparse.Namespace) -> int:
                    for p, (_, d, u, t) in zip(perms, rows)]
         print(json.dumps(payload, separators=(",", ":")))
     elif args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["perm", "down", "up", "total"])
@@ -220,10 +221,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    sampled = tuple(_parse_int(tok.strip()) for tok in str(args.sampled_n).split(",")
-                    if tok.strip())
-    opts = verification.VerifyOptions(max_n=args.max_n, sampled_n=sampled,
-                                      samples=args.samples, seed=args.seed, jobs=args.jobs)
+    sampled = None if args.sampled_n is None else tuple(
+        _parse_int(tok.strip()) for tok in args.sampled_n.split(",") if tok.strip())
+    given = {"max_n": args.max_n, "sampled_n": sampled, "samples": args.samples,
+             "seed": args.seed}
+    from . import verification  # only verify pays to load the checks
+
+    opts = verification.VerifyOptions(
+        jobs=args.jobs, **{name: value for name, value in given.items() if value is not None})
     results = verification.run_all(opts)
     sys.stdout.write(verification.render_report(results))
     return 0 if all(r.passed for r in results) else 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import stats
-from .perm import Permutation
+from .perm import Permutation, _check_degree_cap
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ def extremal_down_permutations(n: int) -> list[Permutation]:
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
+    _check_degree_cap(n)
     found = {
         ExtremalFamilySpec(n, m, t).permutation()
         for m in {n // 2, (n + 1) // 2}
@@ -88,6 +89,7 @@ def extremal_total_permutations(n: int) -> list[Permutation]:
     """
     if n < 2:
         raise ValueError("total-degree extremals need n >= 2")
+    _check_degree_cap(n)
     closure = {_two_block(n, m) for m in {n // 2, (n + 1) // 2}}
     while True:
         grown = set(closure)

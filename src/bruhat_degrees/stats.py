@@ -27,6 +27,9 @@ one gain kernel gives, for every slot of every word, the later letters with
 fewer than r larger letters between the slot and them.  At r = 1 that is
 the down gain; the up gain is the same kernel on the reversed word.  The
 word scans of ``bruhat`` stay the independent oracle for the engine.
+
+numpy is imported inside the functions that use it, so the CLI commands
+that import this module for its exact forms never load it.
 """
 from __future__ import annotations
 
@@ -35,8 +38,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from . import bruhat
 from ._parallel import block_sizes, map_blocks
@@ -196,6 +197,8 @@ def _gains(W: np.ndarray, r: int) -> np.ndarray:
     before slot j of the word W[i], for every slot 0 <= j <= m: the letters
     of W[i, j:] with fewer than r larger letters between the slot and them.
     At r = 1 these are the left-to-right maxima of the suffix."""
+    import numpy as np
+
     N, m = W.shape
     columns = np.ascontiguousarray(W.T)  # one contiguous row per letter position
     G = np.zeros((m + 1, N), dtype=np.int8)
@@ -222,6 +225,8 @@ def _children(W: np.ndarray, V: np.ndarray, stat: str, r: int
               ) -> tuple[np.ndarray, np.ndarray]:
     """The next tree level: each word with the new maximum inserted before
     each slot in turn, row by row, and the statistic of every child."""
+    import numpy as np
+
     N, m = W.shape
     C = np.empty((N, m + 1, m + 1), dtype=np.int8)
     for j in range(m + 1):
@@ -238,6 +243,8 @@ def _exhaustive_block(args: tuple[int, str, int, list[int], int]
     The levels are built down to words of length n-1; the last level is
     counted from its gains, and only the leaves that reach the maximum are
     built."""
+    import numpy as np
+
     n, stat, r, root, value = args
     # letters fit int8, and every statistic, at most C(n, 2), fits int16
     W, V = np.array([root], dtype=np.int8), np.array([value], dtype=np.int16)
@@ -275,6 +282,8 @@ def exhaustive(n: int, stat: str = "down", r: int | None = None,
     ``_block_depth(n)``, merged in node order; up to n = 10 that is the
     whole tree, so the pool only starts from n = 11.
     """
+    import numpy as np
+
     label = _check_stat(n, stat, r)
     order = r if stat == "rth" else 1
     W, V = np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int16)
@@ -333,6 +342,8 @@ def _check_limit(n: int, limit: int) -> None:
 def random_permutation_matrix(n: int, count: int, seed_key: tuple[int, ...]) -> np.ndarray:
     """count uniform permutations of {1..n} as rows, from a PCG64 stream
     keyed by seed_key (deterministic across platforms and job counts)."""
+    import numpy as np
+
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     W = np.tile(np.arange(1, n + 1), (count, 1))
     rng.permuted(W, axis=1, out=W)  # in place: one n x count matrix, not two
@@ -361,6 +372,8 @@ def down_degrees_batch(W: np.ndarray) -> np.ndarray:
     covers of each start are counted in a slab of the letters' type (at
     most n - 1 of them) and summed per row at the end.
     """
+    import numpy as np
+
     rows, n = W.shape
     dtype = np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
     C = np.ascontiguousarray(W.T, dtype=dtype)
@@ -379,6 +392,8 @@ def down_degrees_batch(W: np.ndarray) -> np.ndarray:
 
 
 def _mc_block(args: tuple[int, str, int, int, int, int]) -> tuple[int, int, int]:
+    import numpy as np
+
     n, stat, r, seed, index, count = args
     W = random_permutation_matrix(n, count, (seed, index))
     if stat == "down":
@@ -408,6 +423,7 @@ def monte_carlo_mean(
     result does not depend on the number of workers.
     """
     _check_stat(n, stat, r)
+    _check_degree_cap(n)
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if seed < 0:

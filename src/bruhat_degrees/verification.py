@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, TypeVar
 
-import numpy as np
-
 from . import bruhat, extremal, graphs, stats
 from ._parallel import block_sizes, map_blocks
 from .reconstruct import is_realizable, reconstruct
@@ -579,6 +577,8 @@ _SPOT_CHECKS = 5  # samples of each size's first block checked against the desce
 
 
 def _structural_block(args: tuple[int, int, int, int]) -> dict[str, tuple[bool, str]]:
+    import numpy as np
+
     n, seed, index, count = args
     turan_caps = [graphs.turan_number(r + 1, n) for r in range(1, n)]
     results = {key: (True, "") for key in _SWEEP_KEYS}
@@ -642,6 +642,8 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, tuple[bool, 
 
 
 def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:
+    import numpy as np
+
     packed = np.packbits(adj, axis=1, bitorder="little")
     rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     return graphs.LabeledGraph(n, rows)

@@ -162,6 +162,12 @@ class TestExtremal:
         assert json.loads(out) == [
             {"perm": [2, 1], "down": 1, "up": 0, "total": 1}]
 
+    @pytest.mark.parametrize("stat", ["down", "total"])
+    def test_above_the_degree_cap(self, capsys, stat):
+        # refused before any of the n-letter family is built
+        code, out, err = run_cli(capsys, "extremal", "100001", "--stat", stat)
+        assert (code, out, err) == (2, "", "error: degree n=100001 exceeds the cap 100000\n")
+
 
 class TestExpectAndSampling:
     def test_exact(self, capsys):
@@ -236,6 +242,12 @@ class TestExpectAndSampling:
     def test_sample_negative_seed_names_its_flag(self, capsys):
         code, out, err = run_cli(capsys, "sample", "5", "--seed=-1", "--samples=3")
         assert (code, out, err) == (2, "", "error: --seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("stat", ["down", "total"])
+    def test_sample_above_the_degree_cap(self, capsys, stat):
+        # refused before the samples x n matrix is allocated
+        code, out, err = run_cli(capsys, "sample", "100001", "--stat", stat, "--seed", "1")
+        assert (code, out, err) == (2, "", "error: degree n=100001 exceeds the cap 100000\n")
 
     def test_sample_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -12,7 +12,7 @@ from bruhat_degrees.extremal import (
     max_total_degree,
 )
 from bruhat_degrees.graphs import strong_descent_graph
-from bruhat_degrees.perm import longest_decreasing_subsequence, longest_element
+from bruhat_degrees.perm import MAX_DEGREE, longest_decreasing_subsequence, longest_element
 from bruhat_degrees.stats import distribution
 
 
@@ -76,6 +76,12 @@ class TestDownFamily:
                 parts = strong_descent_graph(p, 1).complete_multipartite_parts()
                 assert parts is not None
                 assert sorted(map(len, parts)) == [n // 2, (n + 1) // 2]
+
+
+@pytest.mark.parametrize("family", [extremal_down_permutations, extremal_total_permutations])
+def test_families_refuse_degrees_above_the_cap(family):
+    with pytest.raises(ValueError, match=f"degree n={MAX_DEGREE + 1} exceeds the cap"):
+        family(MAX_DEGREE + 1)
 
 
 class TestTotalFamily:
