@@ -20,12 +20,20 @@ a < b counts exactly when fewer than r are held or a lies above the least
 of them; both walks stop once they hold b-r..b-1, after which no letter
 counts.  The inversion-number route (``length_change``) and the numpy
 prefix-sum table (``between_counts``) are kept as independent oracles.
+
+``strong_descent_set`` runs the same scan on the inverse word instead.  A
+pair (x, y) of p^-1 maps to the member t_{p(y), p(x)} of p, and since the
+scan moves its start left to right and its walk likewise, the members come
+out already sorted by (a, b) with no sort.  The degrees and ``covered_by``
+keep the position-order scan of p itself, so the two routes check each
+other.
 """
 from __future__ import annotations
 
 import json
 from bisect import insort
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterator, Sequence
 
 from .perm import (Permutation, Transposition, _check_degree_cap, _parse_int,
@@ -48,8 +56,10 @@ class DegreeProfile:
 class StrongDescentSet:
     """The r-th strong descent set of a permutation of degree n.
 
-    ``members`` is sorted by (a, b) so that serialized output is
-    deterministic.
+    ``members`` is sorted by (a, b) and free of repeats, so that serialized
+    output is deterministic.  ``strong_descent_set`` builds it in that order;
+    members given in any other order (user text or JSON) are sorted and
+    deduplicated on entry.
     """
 
     n: int
@@ -61,10 +71,17 @@ class StrongDescentSet:
             raise ValueError(f"degree must be >= 1, got n={self.n}")
         _check_degree_cap(self.n)
         _check_order(self.n, self.r)
-        for t in self.members:
-            if not 1 <= t.a < t.b <= self.n:
-                raise ValueError(f"member {t} out of range for n={self.n}")
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        n = self.n
+        members = tuple(self.members)
+        for t in members:
+            if not isinstance(t, Transposition):
+                raise ValueError(f"member {t!r} is not a Transposition")
+            if not 1 <= t[0] < t[1] <= n:
+                raise ValueError(f"member {t} out of range for n={n}")
+        # strictly increasing means sorted and free of repeats
+        if not all(map(lt, members, members[1:])):
+            members = tuple(sorted(set(members)))
+        object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -284,19 +301,36 @@ def strong_descent_set(p: Permutation, r: int = 1) -> StrongDescentSet:
     The positional criterion and the length-window criterion
     (0 > length_change > -2r) agree; tests check this exhaustively.
     """
-    pairs = _rth_pairs(p, r)
-    return StrongDescentSet(n=p.n, r=r, members=tuple(map(Transposition._make, pairs)))
+    return StrongDescentSet(n=p.n, r=r, members=_sorted_members(p, r))
 
 
 def rth_down_degree(p: Permutation, r: int) -> int:
     """Cardinality of the r-th strong descent set."""
-    return len(_rth_pairs(p, r))
+    return len(_rth_pairs(p.values, r))
 
 
-def _rth_pairs(p: Permutation, r: int) -> list[tuple[int, int]]:
+def _rth_pairs(w: Sequence[int], r: int) -> list[tuple[int, int]]:
+    """The r-th strong descents of the word w, in position order."""
     # at r = 1 the cover scan lists the same pairs without the list of r letters
-    _check_order(p.n, r)
-    return _down_pairs_word(p.values) if r == 1 else _descent_pairs_word(p.values, r)
+    _check_order(len(w), r)
+    return _down_pairs_word(w) if r == 1 else _descent_pairs_word(w, r)
+
+
+def _sorted_members(p: Permutation, r: int) -> tuple[Transposition, ...]:
+    """The r-th strong descents of p in (a, b) order, from the scan of p^-1.
+
+    The scan of p^-1 emits (x, y) with y at position a = p(y) and x at a
+    later position b = p(x), starts in increasing a and, from each start,
+    walks in increasing b; t_{x,y} is a descent of p^-1 exactly when
+    t_{a,b} is one of p.
+    """
+    vals = p.values
+    inv = [0] * len(vals)
+    for i, v in enumerate(vals, 1):
+        inv[v - 1] = i
+    at = (0, *vals)  # at[x] = p(x)
+    new = tuple.__new__
+    return tuple([new(Transposition, (at[y], at[x])) for x, y in _rth_pairs(inv, r)])
 
 
 def _check_order(n: int, r: int) -> None:

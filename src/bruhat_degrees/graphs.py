@@ -78,8 +78,11 @@ class LabeledGraph:
     def has_clique(self, k: int) -> bool:
         """Exact test for a complete subgraph on k vertices.
 
-        Branch and bound over bitmask candidate sets, pruned on the
-        candidate count and a greedy coloring bound.
+        Branch and bound over bitmask candidate sets.  Each node colours its
+        pool greedily once and branches from the highest colour class down:
+        the vertices not yet tried then carry colours 1..c, so a clique among
+        them has at most c vertices, and the node gives up at the first
+        vertex whose colour c is below the number still needed.
         """
         if k < 1:
             raise ValueError("clique size must be >= 1")
@@ -87,33 +90,28 @@ class LabeledGraph:
             return self.n >= 1
         rows = self.rows
 
-        def color_bound(pool: int) -> int:
-            bound = 0
+        def expand(pool: int, need: int) -> bool:
+            if need == 1:
+                return pool != 0
+            if pool.bit_count() < need:
+                return False
+            order = []  # (vertex, colour), colour classes in increasing order
+            colour = 0
             rest = pool
             while rest:
-                bound += 1
+                colour += 1
                 avail = rest
                 while avail:
                     v = (avail & -avail).bit_length() - 1
-                    avail &= avail - 1
+                    avail &= ~rows[v] & (avail - 1)
                     rest &= ~(1 << v)
-                    avail &= ~rows[v]
-            return bound
-
-        def expand(pool: int, need: int) -> bool:
-            if need == 0:
-                return True
-            if pool.bit_count() < need:
-                return False
-            if need > 2 and color_bound(pool) < need:
-                return False
-            while pool:
-                if pool.bit_count() < need:
+                    order.append((v, colour))
+            for v, c in reversed(order):
+                if c < need:
                     return False
-                v = (pool & -pool).bit_length() - 1
-                pool &= ~(1 << v)
                 if expand(pool & rows[v], need - 1):
                     return True
+                pool &= ~(1 << v)
             return False
 
         return expand((1 << self.n) - 1, k)

@@ -14,7 +14,7 @@ recomputing its descent set, and a mismatch raises ValidationFailure.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import bruhat
 from .bruhat import StrongDescentSet
@@ -35,9 +35,9 @@ def reconstruct(n: int, descents: StrongDescentSet) -> Permutation:
         raise ValueError(f"descent set carries n={descents.n}, expected {n}")
     if descents.r != 1:
         raise ValueError(f"reconstruction needs r=1, got r={descents.r}")
-    pairs = descents.pairs()
-    p = _build(n, pairs)
-    if sorted(bruhat._down_pairs_word(p.values)) != pairs:
+    members = descents.members
+    p = _build(n, members)
+    if bruhat._sorted_members(p, 1) != members:
         raise ValidationFailure(
             f"set of {len(descents)} transpositions is not realizable in S_{n}")
     return p
@@ -54,7 +54,7 @@ def is_realizable(n: int, members: Iterable[tuple[int, int] | Transposition]) ->
     return True
 
 
-def _build(n: int, pairs: list[tuple[int, int]]) -> Permutation:
+def _build(n: int, pairs: Sequence[tuple[int, int]]) -> Permutation:
     # smallest partner below each value, if any
     anchor = [0] * (n + 1)
     for a, b in pairs:

@@ -10,6 +10,8 @@ from bruhat_degrees.bruhat import (
     DegreeProfile,
     StrongDescentSet,
     _descent_pairs_word,
+    _rth_pairs,
+    _sorted_members,
     between_counts,
     covered_by,
     covers_of,
@@ -276,6 +278,33 @@ class TestTopRScan:
             assert word.reads == expected, r
 
 
+class TestInverseRoute:
+    """``strong_descent_set`` scans p^-1 and maps each pair (x, y) to
+    (p(y), p(x)); the members must come out in (a, b) order, equal to the
+    sorted position-order scan of p."""
+
+    def test_all_of_s_n_every_order(self):
+        for n in range(1, 9):
+            for p in all_perms(n):
+                for r in range(1, max(n, 2)):
+                    assert list(_sorted_members(p, r)) == sorted(_rth_pairs(p.values, r)), (p, r)
+
+    @pytest.mark.parametrize("n", [200, 500, 1000])
+    def test_large_rows(self, n):
+        p = random_permutation(n, random.Random(n + 1))
+        for r in (1, 2, n // 2, n - 1):
+            assert list(_sorted_members(p, r)) == sorted(_rth_pairs(p.values, r)), r
+
+    def test_members_strictly_increasing_and_kept(self):
+        # members in strict (a, b) order are stored as given, not re-sorted
+        for seed in range(20):
+            p = random_permutation(60, seed)
+            for r in (1, 2, 30, 59):
+                members = strong_descent_set(p, r).members
+                assert all(s < t for s, t in zip(members, members[1:])), (seed, r)
+                assert StrongDescentSet(60, r, members).members is members
+
+
 class TestLengthChange:
     def test_examples(self):
         assert length_change(Transposition(1, 2), identity(3)) == 1
@@ -315,6 +344,19 @@ class TestSerialization:
         s = StrongDescentSet(3, 1, (Transposition(2, 3), Transposition(1, 2),
                                     Transposition(2, 3)))
         assert s.pairs() == [(1, 2), (2, 3)]
+
+    def test_text_out_of_order_is_sorted_and_deduplicated(self):
+        descents = strong_descent_set(EXAMPLE, 1)
+        tokens = descents.to_text().split()
+        shuffled = " ".join(tokens[::-1] + tokens[3:7])
+        assert StrongDescentSet.from_text(9, 1, shuffled) == descents
+        assert StrongDescentSet.from_text(9, 1, shuffled).pairs() == EXAMPLE_R1
+
+    def test_plain_tuple_member_is_rejected(self):
+        with pytest.raises(ValueError, match=r"member \(1, 2\) is not a Transposition"):
+            StrongDescentSet(3, 1, ((1, 2),))
+        with pytest.raises(ValueError, match="is not a Transposition"):
+            StrongDescentSet(3, 1, (Transposition(1, 2), [2, 3]))
 
     def test_member_out_of_range(self):
         with pytest.raises(ValueError):
