@@ -76,7 +76,10 @@ class StrongDescentSet:
         for t in members:
             if not isinstance(t, Transposition):
                 raise ValueError(f"member {t!r} is not a Transposition")
-            if not 1 <= t[0] < t[1] <= n:
+            a, b = t
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"member {t!r} has an endpoint that is not an integer")
+            if not 1 <= a < b <= n:
                 raise ValueError(f"member {t} out of range for n={n}")
         # strictly increasing means sorted and free of repeats
         if not all(map(lt, members, members[1:])):

@@ -116,7 +116,5 @@ def brute_force_max(
     stat is one of 'down', 'total', 'rth' (the last needs r).  Refuses
     n > limit; raise the limit explicitly if you accept the factorial cost.
     """
-    stats._check_stat(n, stat, r)
-    stats._check_limit(n, limit)
-    scan = stats.exhaustive(n, stat, r=r, jobs=jobs)
+    scan = stats.exhaustive(n, stat, r=r, jobs=jobs, limit=limit)
     return scan.maximum, [Permutation(w) for w in scan.attaining]

@@ -37,6 +37,8 @@ class LabeledGraph:
         _check_degree_cap(n)
         rows = [0] * n
         for a, b in edges:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"edge ({a!r},{b!r}) has an endpoint that is not an integer")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
             if a == b:
@@ -46,7 +48,7 @@ class LabeledGraph:
         return cls(n, tuple(rows))
 
     def edges(self) -> list[tuple[int, int]]:
-        """Edges as sorted (a, b) pairs with a < b."""
+        """Edges as sorted (a, b) pairs with a < b: a row by row, b by bit."""
         out = []
         for v in range(self.n):
             m = self.rows[v] >> (v + 1) << (v + 1)
@@ -54,7 +56,7 @@ class LabeledGraph:
                 u = (m & -m).bit_length() - 1
                 m &= m - 1
                 out.append((v + 1, u + 1))
-        return sorted(out)
+        return out
 
     @property
     def edge_count(self) -> int:

@@ -379,11 +379,3 @@ def random_permutation(n: int, seed: int | random.Random) -> Permutation:
         j = rng.randrange(i + 1)
         vals[i], vals[j] = vals[j], vals[i]
     return Permutation(tuple(vals))
-
-
-def _value_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    """Raw value tuples of S_n in lexicographic order.
-
-    Internal hot-path enumeration for the word scans; no wrapper objects.
-    """
-    return itertools.permutations(range(1, n + 1))

@@ -29,7 +29,8 @@ def reconstruct(n: int, descents: StrongDescentSet) -> Permutation:
     """The unique permutation in S_n whose strong descent set is ``descents``.
 
     Raises ValidationFailure if no permutation realizes the set, and
-    ValueError for malformed input (wrong n, r != 1, members out of range).
+    ValueError for a set of another n or of r != 1; ``StrongDescentSet``
+    has already kept every member in range for its own n.
     """
     if descents.n != n:
         raise ValueError(f"descent set carries n={descents.n}, expected {n}")
@@ -58,8 +59,6 @@ def _build(n: int, pairs: Sequence[tuple[int, int]]) -> Permutation:
     # smallest partner below each value, if any
     anchor = [0] * (n + 1)
     for a, b in pairs:
-        if not 1 <= a < b <= n:
-            raise ValueError(f"member ({a},{b}) out of range for n={n}")
         if anchor[b] == 0 or a < anchor[b]:
             anchor[b] = a
     word = [1]

@@ -20,7 +20,9 @@ Both facts are re-checkable from this module (``check_increment_lemma``,
 The same identity drives ``exhaustive``, the one engine behind every exact
 scan of S_n: ``distribution``, ``exhaustive_mean``,
 ``extremal.brute_force_max``, and verify, which reads its maxima, attaining
-sets and exact means from one scan per (n, statistic).  It builds the
+sets and exact means from one scan per (n, statistic).  It checks the
+exhaustive limit itself (``MAX_EXHAUSTIVE_N`` unless a caller passes a
+larger ``limit``), after the statistic and the order.  It builds the
 insertion tree level by level, inserting 1, 2, ..., n in turn, with all
 words of one length in one numpy array, and carries the statistic down:
 one gain kernel gives, for every slot of every word, the later letters with
@@ -33,6 +35,7 @@ that import this module for its exact forms never load it.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from typing import NamedTuple
 
 from . import bruhat
 from ._parallel import block_sizes, map_blocks
-from .perm import Permutation, _check_degree_cap, _value_tuples, ltr_maxima
+from .perm import Permutation, _check_degree_cap, ltr_maxima
 
 MAX_EXHAUSTIVE_N = 9
 
@@ -125,7 +128,7 @@ def ltrm_counts(t: int) -> list[int]:
     """counts[k] = number of permutations of S_t with exactly k left-to-right
     maxima; equals the coefficient of q^k in (q)(q+1)...(q+t-1)."""
     counts = [0] * (t + 1)
-    for w in _value_tuples(t):
+    for w in itertools.permutations(range(1, t + 1)):
         counts[ltr_maxima(w)] += 1
     return counts
 
@@ -270,7 +273,7 @@ def _block_depth(n: int) -> int:
 
 
 def exhaustive(n: int, stat: str = "down", r: int | None = None,
-               jobs: int | None = 1) -> ExhaustiveScan:
+               jobs: int | None = 1, limit: int = MAX_EXHAUSTIVE_N) -> ExhaustiveScan:
     """Histogram, maximum and attaining words of a statistic over all of S_n,
     built level by level from the empty word of the insertion tree.
 
@@ -280,11 +283,15 @@ def exhaustive(n: int, stat: str = "down", r: int | None = None,
     The gains of every slot of a level come from one vectorised kernel, so
     no leaf is scanned.  The blocks are the subtrees below the nodes at
     ``_block_depth(n)``, merged in node order; up to n = 10 that is the
-    whole tree, so the pool only starts from n = 11.
+    whole tree, so the pool only starts from n = 11.  Refuses n > limit;
+    raise the limit explicitly if you accept the factorial cost.
     """
     import numpy as np
 
     label = _check_stat(n, stat, r)
+    if n > limit:
+        raise ValueError(
+            f"n={n} exceeds the exhaustive limit {limit}; pass a larger limit to override")
     order = r if stat == "rth" else 1
     W, V = np.zeros((1, 0), dtype=np.int8), np.zeros(1, dtype=np.int16)
     for _ in range(_block_depth(n)):
@@ -306,9 +313,7 @@ def distribution(
     limit: int = MAX_EXHAUSTIVE_N,
 ) -> Histogram:
     """Exact distribution of a degree statistic over all n! permutations."""
-    _check_stat(n, stat, r)
-    _check_limit(n, limit)
-    return exhaustive(n, stat, r=r, jobs=jobs).histogram
+    return exhaustive(n, stat, r=r, jobs=jobs, limit=limit).histogram
 
 
 def exhaustive_mean(n: int, stat: str = "down", r: int | None = None,
@@ -330,12 +335,6 @@ def _check_stat(n: int, stat: str, r: int | None) -> str:
     return stat
 
 
-def _check_limit(n: int, limit: int) -> None:
-    if n > limit:
-        raise ValueError(
-            f"n={n} exceeds the exhaustive limit {limit}; pass a larger limit to override")
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -348,11 +347,6 @@ def random_permutation_matrix(n: int, count: int, seed_key: tuple[int, ...]) -> 
     W = np.tile(np.arange(1, n + 1), (count, 1))
     rng.permuted(W, axis=1, out=W)  # in place: one n x count matrix, not two
     return W
-
-
-def _permutations(W: np.ndarray) -> list[Permutation]:
-    """The rows of W as permutations."""
-    return [Permutation(tuple(row)) for row in W.tolist()]
 
 
 def down_degrees_batch(W: np.ndarray) -> np.ndarray:
@@ -402,8 +396,7 @@ def _mc_block(args: tuple[int, str, int, int, int, int]) -> tuple[int, int, int]
         # the up degree is the down degree of the complement n + 1 - p
         vals = down_degrees_batch(W) + down_degrees_batch(n + 1 - W)
     else:
-        vals = np.array([bruhat.rth_down_degree(p, r) for p in _permutations(W)],
-                        dtype=np.int64)
+        vals = np.array([len(bruhat._rth_pairs(w, r)) for w in W.tolist()], dtype=np.int64)
     # integer sums keep the reduction exact, hence independent of job count
     return count, int(vals.sum()), int((vals.astype(object) ** 2).sum())
 

@@ -10,6 +10,12 @@ Checks deliberately route through the public production code paths
 there is caught here; the opposing route is always something structurally
 different (inversion-number deltas, breadth-first search, numpy prefix
 sums, brute-force clique search, literal summation).
+
+The sampled parts draw through ``_draw``, which keys each PCG64 stream by
+(seed, tag, n, block) with one tag per consumer, so the samples at one size
+do not depend on the other sizes a run asks for.  Exhaustive scans go
+through ``stats.exhaustive``, which checks its own limit; ``VerifyOptions``
+refuses a --max-n above it before any check runs.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ from .reconstruct import is_realizable, reconstruct
 from .perm import (
     Permutation,
     Transposition,
+    _check_degree_cap,
     identity,
     iter_permutations,
     longest_decreasing_subsequence,
@@ -84,6 +91,8 @@ class VerifyOptions:
         if any(n < 3 for n in self.sampled_n):
             raise ValueError("--sampled-n sizes must be >= 3, got "
                              + ",".join(map(str, self.sampled_n)))
+        for n in self.sampled_n:
+            _check_degree_cap(n)  # the sweep builds an n x (n + 1) table per sample
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.max_n > stats.MAX_EXHAUSTIVE_N:
@@ -104,6 +113,17 @@ def _exhaustive(opts: VerifyOptions, n: int, stat: str) -> stats.ExhaustiveScan:
     """The engine's scan of S_n for one statistic, once per verify run: the
     maxima, classification and expectation checks all read it."""
     return _per_run(opts, ("scan", n, stat), lambda: stats.exhaustive(n, stat, jobs=opts.jobs))
+
+
+# the tags of _draw's streams, one per consumer
+_INVERSE_TAG, _INCREMENT_TAG, _RECONSTRUCTION_TAG, _SWEEP_TAG = 101, 102, 103, 500
+
+
+def _draw(seed: int, tag: int, n: int, count: int, block: int = 0) -> list[Permutation]:
+    """count uniform permutations of degree n from the PCG64 stream keyed by
+    (seed, tag, n, block)."""
+    W = stats.random_permutation_matrix(n, count, (seed, tag, n, block))
+    return [Permutation(tuple(row)) for row in W.tolist()]
 
 
 def _fail(detail: str) -> tuple[bool, str]:
@@ -211,9 +231,7 @@ def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
                 if via_inverse != direct:
                     return _fail(f"membership bijection fails for {p} at r={r}")
     for n in opts.sampled_n:
-        count = min(opts.samples, 200)
-        W = stats.random_permutation_matrix(n, count, (opts.seed, 101))
-        for p in stats._permutations(W):
+        for p in _draw(opts.seed, _INVERSE_TAG, n, min(opts.samples, 200)):
             q = p.inverse()
             for r in (1, 2, n // 2, n - 1):
                 if bruhat.rth_down_degree(p, r) != bruhat.rth_down_degree(q, r):
@@ -265,10 +283,7 @@ def check_triangle_free(opts: VerifyOptions) -> tuple[bool, str]:
         for p in iter_permutations(n):
             if not graphs.strong_descent_graph(p, 1).is_triangle_free():
                 return _fail(f"triangle in the descent graph of {p}")
-    ok, detail = _structural_samples(opts)["triangle_free"]
-    if not ok:
-        return _fail(detail)
-    return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
+    return _swept(opts, "triangle_free", top)
 
 
 def check_clique_free(opts: VerifyOptions) -> tuple[bool, str]:
@@ -280,10 +295,7 @@ def check_clique_free(opts: VerifyOptions) -> tuple[bool, str]:
             for r in range(1, n):
                 if graphs.strong_descent_graph(p, r).has_clique(r + 2):
                     return _fail(f"K_{r + 2} inside the r={r} descent graph of {p}")
-    ok, detail = _structural_samples(opts)["clique_free"]
-    if not ok:
-        return _fail(detail)
-    return _ok(f"exhaustive n<={top} (all r), sampled at n in {list(opts.sampled_n)}")
+    return _swept(opts, "clique_free", top, scope=" (all r)")
 
 
 def check_turan_bound(opts: VerifyOptions) -> tuple[bool, str]:
@@ -301,10 +313,7 @@ def check_turan_bound(opts: VerifyOptions) -> tuple[bool, str]:
             for r in range(1, n):
                 if bruhat.rth_down_degree(p, r) > graphs.turan_number(r + 1, n):
                     return _fail(f"degree above the Turan bound for {p}, r={r}")
-    ok, detail = _structural_samples(opts)["turan_bound"]
-    if not ok:
-        return _fail(detail)
-    return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
+    return _swept(opts, "turan_bound", top)
 
 
 def check_top_order_is_inversions(opts: VerifyOptions) -> tuple[bool, str]:
@@ -314,10 +323,7 @@ def check_top_order_is_inversions(opts: VerifyOptions) -> tuple[bool, str]:
         for p in iter_permutations(n):
             if bruhat.rth_down_degree(p, n - 1) != p.inversion_number():
                 return _fail(f"top-order degree of {p} is not its inversion count")
-    ok, detail = _structural_samples(opts)["top_order"]
-    if not ok:
-        return _fail(detail)
-    return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
+    return _swept(opts, "top_order", top)
 
 
 def check_max_down_degree(opts: VerifyOptions) -> tuple[bool, str]:
@@ -390,10 +396,7 @@ def check_min_degree_bound(opts: VerifyOptions) -> tuple[bool, str]:
         for p in iter_permutations(n):
             if graphs.total_degree_graph(p).min_degree() > n // 2 + 1:
                 return _fail(f"all vertices of the total graph of {p} have high degree")
-    ok, detail = _structural_samples(opts)["min_degree"]
-    if not ok:
-        return _fail(detail)
-    return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
+    return _swept(opts, "min_degree", top)
 
 
 def check_total_graph_union(opts: VerifyOptions) -> tuple[bool, str]:
@@ -464,9 +467,7 @@ def check_increment_lemma(opts: VerifyOptions) -> tuple[bool, str]:
     if not stats.check_increment_lemma(Permutation(EXAMPLE_PERM)):
         return _fail("increment identity fails on the worked example")
     for n in opts.sampled_n:
-        count = min(opts.samples, 200)
-        W = stats.random_permutation_matrix(n, count, (opts.seed, 102))
-        for p in stats._permutations(W):
+        for p in _draw(opts.seed, _INCREMENT_TAG, n, min(opts.samples, 200)):
             if not stats.check_increment_lemma(p):
                 return _fail(f"increment identity fails for a sample at n={n}")
     return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
@@ -495,8 +496,7 @@ def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
             if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
                 return _fail(f"round trip fails for {p}")
     sizes = sorted(set(opts.sampled_n) | {20, 50, 100})
-    blocks = [(n, opts.seed, 103 + i, min(opts.samples, 10_000))
-              for i, n in enumerate(sizes)]
+    blocks = [(n, opts.seed, _RECONSTRUCTION_TAG, min(opts.samples, 10_000)) for n in sizes]
     for ok, detail in map_blocks(_reconstruction_block, blocks, opts.jobs):
         if not ok:
             return _fail(detail)
@@ -505,8 +505,7 @@ def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
 
 def _reconstruction_block(args: tuple[int, int, int, int]) -> tuple[bool, str]:
     n, seed, tag, count = args
-    W = stats.random_permutation_matrix(n, count, (seed, tag))
-    for p in stats._permutations(W):
+    for p in _draw(seed, tag, n, count):
         if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
             return False, f"round trip fails for a sample at n={n}"
     return True, ""
@@ -590,10 +589,9 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, tuple[bool, 
         if results[key][0]:
             results[key] = (False, detail)
 
-    W = stats.random_permutation_matrix(n, count, (seed, 500 + index))
     values = np.arange(1, n + 1)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    for idx, p in enumerate(stats._permutations(W)):
+    for idx, p in enumerate(_draw(seed, _SWEEP_TAG, n, count, block=index)):
         counts, pos = bruhat.between_counts(p)
         inverted = pos[values][None, :] < pos[values][:, None]
         invpairs = upper & inverted
@@ -642,6 +640,15 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, tuple[bool, 
                         record(key, f"fast path disagrees with descent sets at r={r}")
                     break
     return results
+
+
+def _swept(opts: VerifyOptions, key: str, top: int, scope: str = "") -> tuple[bool, str]:
+    """The verdict of a structural check whose exhaustive part passed up to
+    n = top: the shared sweep's result for key."""
+    ok, detail = _structural_samples(opts)[key]
+    if not ok:
+        return _fail(detail)
+    return _ok(f"exhaustive n<={top}{scope}, sampled at n in {list(opts.sampled_n)}")
 
 
 def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:

@@ -362,6 +362,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             StrongDescentSet(3, 1, (Transposition(1, 4),))
 
+    @pytest.mark.parametrize("member", [Transposition(1.5, 2), Transposition(True, 2),
+                                        Transposition(1, 2.0), Transposition("1", 2)])
+    def test_endpoint_that_is_not_an_int_is_rejected(self, member):
+        # a float passed the range check and reached to_json, which from_json refuses
+        with pytest.raises(ValueError) as err:
+            StrongDescentSet(3, 1, (Transposition(1, 3), member))
+        assert str(err.value) == f"member {member!r} has an endpoint that is not an integer"
+
     def test_bad_text_token(self):
         with pytest.raises(ValueError):
             StrongDescentSet.from_text(3, 1, "t[1,2]")

@@ -12,7 +12,7 @@ from bruhat_degrees import bruhat, cli, stats, verification
 from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import build_parser, main
-from bruhat_degrees.perm import Permutation, Transposition
+from bruhat_degrees.perm import MAX_DEGREE, Permutation, Transposition
 
 EXAMPLE_TEXT = "[7,9,5,2,3,8,4,1,6]"
 EXAMPLE_R1_LINE = ("t(1,2) t(1,3) t(1,4) t(2,5) t(3,5) t(4,5) "
@@ -329,6 +329,25 @@ class TestVerify:
         assert verification._structural_samples(opts) == expected
         assert expected["clique_free"][0] is not broken
 
+    def test_draws_of_one_size_do_not_depend_on_the_other_sizes(self, monkeypatch):
+        # reconstruction samples n = 50 whatever --sampled-n holds
+        keys = []
+        real = stats.random_permutation_matrix
+
+        def recorded(n, count, seed_key):
+            keys.append((n, count, seed_key))
+            return real(n, count, seed_key)
+
+        monkeypatch.setattr(stats, "random_permutation_matrix", recorded)
+        drawn = []
+        for sizes in ((40,), (60,)):
+            keys.clear()
+            opts = verification.VerifyOptions(max_n=2, sampled_n=sizes, samples=20, jobs=1)
+            assert all(res.passed for res in verification.run_all(opts))
+            drawn.append(sorted(key for key in keys if key[0] == 50))
+        assert drawn[0] == drawn[1]
+        assert (50, 20, (0, verification._RECONSTRUCTION_TAG, 50, 0)) in drawn[0]
+
     def test_entry_point_via_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bruhat_degrees.cli", "degrees", "[3,2,1]"],
@@ -415,6 +434,11 @@ class TestInputBoundaries:
         assert out == ""
         assert err == f"error: --sampled-n sizes must be >= 3, got {sizes}\n"
 
+    def test_sampled_n_above_the_degree_cap_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--sampled-n", f"40,{MAX_DEGREE + 1}")
+        assert (code, out) == (2, "")
+        assert err == f"error: degree n={MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}\n"
+
 
 class TestVerifyOptions:
     @pytest.mark.parametrize("fields,message", [
@@ -425,6 +449,9 @@ class TestVerifyOptions:
         (dict(samples=-5, sampled_n=(2,)), "--samples must be >= 1, got -5"),
         (dict(sampled_n=(40, 2)), "--sampled-n sizes must be >= 3, got 40,2"),
         (dict(sampled_n=(1,), seed=-1), "--sampled-n sizes must be >= 3, got 1"),
+        (dict(sampled_n=(2, MAX_DEGREE + 1)), "--sampled-n sizes must be >= 3, got 2,100001"),
+        (dict(sampled_n=(40, MAX_DEGREE + 1), seed=-1),
+         f"degree n={MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}"),
         (dict(seed=-1), "--seed must be >= 0, got -1"),
         (dict(seed=-1, max_n=12), "--seed must be >= 0, got -1"),
         (dict(max_n=12), "--max-n 12 exceeds the exhaustive limit 9"),
@@ -437,6 +464,7 @@ class TestVerifyOptions:
     @pytest.mark.parametrize("fields", [
         dict(max_n=2, sampled_n=(), samples=1, seed=0),
         dict(max_n=stats.MAX_EXHAUSTIVE_N, sampled_n=(3,)),
+        dict(sampled_n=(MAX_DEGREE,)),
     ])
     def test_boundaries_accepted(self, fields):
         verification.VerifyOptions(**fields)

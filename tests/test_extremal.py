@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from bruhat_degrees import stats
 from bruhat_degrees.bruhat import down_degree, total_degree
 from bruhat_degrees.extremal import (
     ExtremalFamilySpec,
@@ -139,8 +140,10 @@ class TestBruteForce:
         assert brute_force_max(6, "total", jobs=3) == brute_force_max(6, "total")
 
     def test_limit_enforced(self):
-        with pytest.raises(ValueError, match="exhaustive limit"):
+        with pytest.raises(ValueError) as err:
             brute_force_max(10, "down")
+        assert str(err.value) == (
+            "n=10 exceeds the exhaustive limit 9; pass a larger limit to override")
         best, _ = brute_force_max(4, "down", limit=4)
         assert best == 4
 
@@ -151,13 +154,18 @@ class TestBruteForce:
         ((0, "down"), {}),
         ((10, "down"), {}),
         ((5, "total"), {"limit": 4}),
+        # the statistic, then the order, then the limit
+        ((12, "sideways"), {}),
+        ((12, "rth"), {"r": 12}),
+        ((0, "down"), {"limit": -1}),
     ])
     def test_rejects_what_distribution_rejects(self, args, kwargs):
-        with pytest.raises(ValueError) as ours:
-            brute_force_max(*args, **kwargs)
-        with pytest.raises(ValueError) as theirs:
-            distribution(*args, **kwargs)
-        assert str(ours.value) == str(theirs.value)
+        messages = set()
+        for scan in (brute_force_max, distribution, stats.exhaustive):
+            with pytest.raises(ValueError) as err:
+                scan(*args, **kwargs)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
 
     def test_bad_stat(self):
         with pytest.raises(ValueError):

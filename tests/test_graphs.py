@@ -49,6 +49,21 @@ class TestLabeledGraph:
         with pytest.raises(ValueError):
             LabeledGraph.from_edges(3, [(2, 2)])
 
+    @pytest.mark.parametrize("edge,shown", [((True, 2), "(True,2)"), ((1, 2.5), "(1,2.5)"),
+                                            ((1.0, 3), "(1.0,3)"), (("1", 2), "('1',2)")])
+    def test_rejects_endpoints_that_are_not_ints(self, edge, shown):
+        # True was taken as vertex 1, and a float raised TypeError from indexing
+        with pytest.raises(ValueError) as err:
+            LabeledGraph.from_edges(3, [(1, 3), edge])
+        assert str(err.value) == f"edge {shown} has an endpoint that is not an integer"
+
+    def test_edges_come_out_sorted(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            g = random_graph(rng, rng.randrange(0, 40), p=rng.random())
+            assert g.edges() == sorted(g.edges())
+            assert LabeledGraph.from_edges(g.n, g.edges()) == g
+
     def test_component_count(self):
         assert LabeledGraph.from_edges(5, []).component_count() == 5
         assert LabeledGraph.from_edges(5, [(1, 2), (2, 3)]).component_count() == 3

@@ -87,6 +87,9 @@ class TestLtrMaxima:
         for t in range(0, 8):
             assert ltrm_counts(t) == rising_factorial_coefficients(t)
 
+    def test_empty_word_has_no_maxima(self):
+        assert ltrm_counts(0) == [1]
+
     def test_mean_from_counts_is_harmonic(self):
         for t in range(1, 7):
             counts = ltrm_counts(t)
