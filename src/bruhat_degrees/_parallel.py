@@ -1,12 +1,23 @@
-"""Tiny helper for order-preserving parallel map over picklable blocks.
+"""Order-preserving parallel work over picklable blocks.
+
+``map_blocks`` applies one function to a list of blocks and returns the
+results in block order.  It is built on ``process_pool`` and
+``submit_blocks``, which a caller can also use directly to keep one pool
+busy with the blocks of several functions while it does other work, reading
+each future when it needs the result (``verification.run_all`` at jobs > 1).
 
 ``concurrent.futures`` is imported only when a pool starts, so a caller
-whose work is one block, or runs at one job, never loads it.
+whose work is one block, or runs at one job, never loads it.  Open pools and
+submit to them from the main thread only: with the fork start method a pool
+forks all of its workers on the first submit, before its manager thread
+starts, and a fork made from any other thread may copy a lock that thread
+holds.
 """
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -20,6 +31,12 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def resolve_jobs(jobs: int | None) -> int:
+    """The worker count that a --jobs value asks for: None means every CPU
+    this process may run on, and anything below 1 means 1."""
+    return default_jobs() if jobs is None else max(1, jobs)
+
+
 def block_sizes(total: int, size: int) -> list[int]:
     """Sizes of the consecutive blocks that split total items into runs of
     at most size; only the last block may be smaller."""
@@ -27,13 +44,35 @@ def block_sizes(total: int, size: int) -> list[int]:
     return [size] * full + ([rest] if rest else [])
 
 
+@contextlib.contextmanager
+def process_pool(workers: int) -> Iterator[Any]:
+    """A pool of worker processes, shut down however the block ends: blocks
+    not yet started are cancelled and running ones are waited for."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def submit_blocks(pool: Any, tasks: Sequence[tuple[Callable[[A], B], A]],
+                  cost: Callable[[Callable[[A], B], A], float] | None = None) -> list[Any]:
+    """Submit fn(block) for each (fn, block) of tasks, the costliest first
+    when cost estimates each one; the futures come back in task order."""
+    order = range(len(tasks))
+    if cost is not None:
+        order = sorted(order, key=lambda i: -cost(*tasks[i]))
+    futures = {i: pool.submit(*tasks[i]) for i in order}
+    return [futures[i] for i in range(len(tasks))]
+
+
 def map_blocks(fn: Callable[[A], B], blocks: Sequence[A], jobs: int | None) -> list[B]:
     """Apply fn to each block; results come back in block order regardless of
     scheduling, so any downstream reduction is deterministic."""
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = resolve_jobs(jobs)
     if jobs == 1 or len(blocks) <= 1:
         return [fn(block) for block in blocks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
-        return list(pool.map(fn, blocks))
+    with process_pool(min(jobs, len(blocks))) as pool:
+        return [future.result() for future in submit_blocks(pool, [(fn, b) for b in blocks])]

@@ -16,18 +16,29 @@ The sampled parts draw through ``_draw``, which keys each PCG64 stream by
 do not depend on the other sizes a run asks for.  Exhaustive scans go
 through ``stats.exhaustive``, which checks its own limit; ``VerifyOptions``
 refuses a --max-n above it before any check runs.
+
+The sampled structural sweep and the reconstruction samples are computed in
+blocks.  At jobs > 1, ``run_all`` opens one process pool before the first
+check and submits every one of those blocks to it, longest first, while the
+main process runs the checks in order; the checks that need the blocks wait
+for their futures, so the timing column bills them the wait, not the work.
+At one job, and for calls outside ``run_all``, the blocks run when first
+needed, through ``map_blocks``.  Either way the results merge in size order,
+then block order, so the report does not depend on --jobs.
 """
 from __future__ import annotations
 
+import contextlib
+import importlib
 import math
 import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from . import bruhat, extremal, graphs, stats
-from ._parallel import block_sizes, map_blocks
+from ._parallel import block_sizes, map_blocks, process_pool, resolve_jobs, submit_blocks
 from .reconstruct import is_realizable, reconstruct
 from .perm import (
     Permutation,
@@ -100,10 +111,15 @@ class VerifyOptions:
                              f"{stats.MAX_EXHAUSTIVE_N}")
 
 
+def _memo(opts: VerifyOptions) -> dict:
+    """The per-run memo, kept on the options object."""
+    return vars(opts).setdefault("_memo", {})
+
+
 def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
     """compute(), once per verify run: the result is kept on the options
     object, so the checks that need the same expensive value share it."""
-    memo = vars(opts).setdefault("_memo", {})
+    memo = _memo(opts)
     if key not in memo:
         memo[key] = compute()
     return memo[key]
@@ -495,12 +511,18 @@ def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
         for p in iter_permutations(n):
             if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
                 return _fail(f"round trip fails for {p}")
-    sizes = sorted(set(opts.sampled_n) | {20, 50, 100})
-    blocks = [(n, opts.seed, _RECONSTRUCTION_TAG, min(opts.samples, 10_000)) for n in sizes]
-    for ok, detail in map_blocks(_reconstruction_block, blocks, opts.jobs):
+    blocks = _reconstruction_blocks(opts)
+    for ok, detail in _block_results(opts, _reconstruction_block, blocks):
         if not ok:
             return _fail(detail)
-    return _ok(f"exhaustive n<={top}, {min(opts.samples, 10_000)} samples at n in {sizes}")
+    return _ok(f"exhaustive n<={top}, {min(opts.samples, 10_000)} samples "
+               f"at n in {[n for n, *_ in blocks]}")
+
+
+def _reconstruction_blocks(opts: VerifyOptions) -> list[tuple[int, int, int, int]]:
+    """One block of samples per size: the sampled sizes and 20, 50, 100."""
+    sizes = sorted(set(opts.sampled_n) | {20, 50, 100})
+    return [(n, opts.seed, _RECONSTRUCTION_TAG, min(opts.samples, 10_000)) for n in sizes]
 
 
 def _reconstruction_block(args: tuple[int, int, int, int]) -> tuple[bool, str]:
@@ -655,7 +677,8 @@ def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:
     import numpy as np
 
     packed = np.packbits(adj, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    data, width = packed.tobytes(), packed.shape[1]
+    rows = tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width))
     return graphs.LabeledGraph(n, rows)
 
 
@@ -663,28 +686,81 @@ def structural_sample_check(
     n: int, samples: int, seed: int, jobs: int | None = 1,
 ) -> dict[str, tuple[bool, str]]:
     """Run the five structural lemma checks on random samples at degree n."""
-    return _sweep((n,), samples, seed, jobs)
+    return _merge_sweep(map_blocks(_structural_block, _sweep_blocks((n,), samples, seed), jobs))
 
 
 def _structural_samples(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
     """The sampled sweep over every size in opts.sampled_n; several checks
     share it, so it runs once per verify run."""
+    blocks = _sweep_blocks(opts.sampled_n, opts.samples, opts.seed)
     return _per_run(opts, "sweep",
-                    lambda: _sweep(opts.sampled_n, opts.samples, opts.seed, opts.jobs))
+                    lambda: _merge_sweep(_block_results(opts, _structural_block, blocks)))
 
 
-def _sweep(sizes: tuple[int, ...], samples: int, seed: int, jobs: int | None
-           ) -> dict[str, tuple[bool, str]]:
-    """The structural checks at every size, all blocks in one fan-out; each
-    key keeps the first failure in size order, then block order."""
-    blocks = [(n, seed, index, take)
-              for n in sizes for index, take in enumerate(block_sizes(samples, 2000))]
+def _sweep_blocks(sizes: tuple[int, ...], samples: int, seed: int
+                  ) -> list[tuple[int, int, int, int]]:
+    """The sweep's blocks: up to 2000 samples each, in size order."""
+    return [(n, seed, index, take)
+            for n in sizes for index, take in enumerate(block_sizes(samples, 2000))]
+
+
+def _merge_sweep(parts: list[dict[str, tuple[bool, str]]]) -> dict[str, tuple[bool, str]]:
+    """The structural checks over all blocks; each key keeps the first
+    failure in block order, which is size order, then block order."""
     merged = {key: (True, "") for key in _SWEEP_KEYS}
-    for part in map_blocks(_structural_block, blocks, jobs):
+    for part in parts:
         for key, (ok, detail) in part.items():
             if merged[key][0] and not ok:
                 merged[key] = (False, detail)
     return merged
+
+
+# ---------------------------------------------------------------------------
+# the blocks shared through one process pool
+
+def _block_results(opts: VerifyOptions, fn: Callable[[T], object], blocks: list[T]) -> list:
+    """fn over blocks, in block order: the futures that run_all submitted for
+    this run when there are any, else computed now through map_blocks."""
+    futures = _memo(opts).get(("blocks", fn))
+    if futures is None:
+        return map_blocks(fn, blocks, opts.jobs)
+    return [future.result() for future in futures]
+
+
+def _block_cost(fn: Callable, block: tuple[int, int, int, int]) -> float:
+    """Relative run time of one shared block of count samples at degree n:
+    at n = 20..200 a sweep sample took 3.4 to 7 times a reconstruction
+    sample, and both grew about as n^1.5."""
+    n, _, _, count = block
+    return (5 if fn is _structural_block else 1) * count * n ** 1.5
+
+
+@contextlib.contextmanager
+def _blocks_in_flight(opts: VerifyOptions) -> Iterator[None]:
+    """At jobs > 1, submit the sweep and reconstruction blocks of this run
+    to one pool, longest first, and leave their futures in the memo for the
+    checks to read; the pool closes when the run ends, however it ends.  At
+    one job nothing starts."""
+    jobs = resolve_jobs(opts.jobs)
+    if jobs == 1:
+        yield
+        return
+    shared = {_structural_block: _sweep_blocks(opts.sampled_n, opts.samples, opts.seed),
+              _reconstruction_block: _reconstruction_blocks(opts)}
+    tasks = [(fn, block) for fn, blocks in shared.items() for block in blocks]
+    # numpy loads numpy.random on first use; loading it before the fork lets
+    # the workers share the parent's copy instead of each importing its own
+    importlib.import_module("numpy.random")
+    memo = _memo(opts)
+    with process_pool(min(jobs, len(tasks))) as pool:
+        futures = iter(submit_blocks(pool, tasks, _block_cost))
+        for fn, blocks in shared.items():
+            memo[("blocks", fn)] = [next(futures) for _ in blocks]
+        try:
+            yield
+        finally:
+            for fn in shared:
+                del memo[("blocks", fn)]
 
 
 # ---------------------------------------------------------------------------
@@ -722,13 +798,14 @@ ALL_CHECKS: tuple[tuple[str, Callable[[VerifyOptions], tuple[bool, str]]], ...] 
 
 def run_all(opts: VerifyOptions) -> list[CheckResult]:
     results = []
-    for name, fn in ALL_CHECKS:
-        start = time.perf_counter()
-        try:
-            passed, detail = fn(opts)
-        except Exception as exc:  # a crash in a check is a failure, not an abort
-            passed, detail = False, f"error: {exc!r}"
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
+    with _blocks_in_flight(opts):
+        for name, fn in ALL_CHECKS:
+            start = time.perf_counter()
+            try:
+                passed, detail = fn(opts)
+            except Exception as exc:  # a crash in a check is a failure, not an abort
+                passed, detail = False, f"error: {exc!r}"
+            results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
     return results
 
 

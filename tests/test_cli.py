@@ -1,9 +1,11 @@
 import argparse
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from bruhat_degrees import bruhat, cli, stats, verification
 from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import build_parser, main
-from bruhat_degrees.perm import MAX_DEGREE, Permutation, Transposition
+from bruhat_degrees.perm import MAX_DEGREE, Permutation, Transposition, identity
 
 EXAMPLE_TEXT = "[7,9,5,2,3,8,4,1,6]"
 EXAMPLE_R1_LINE = ("t(1,2) t(1,3) t(1,4) t(2,5) t(3,5) t(4,5) "
@@ -347,6 +349,56 @@ class TestVerify:
             drawn.append(sorted(key for key in keys if key[0] == 50))
         assert drawn[0] == drawn[1]
         assert (50, 20, (0, verification._RECONSTRUCTION_TAG, 50, 0)) in drawn[0]
+
+    def test_reconstruction_failure_reads_the_same_at_any_jobs(self, monkeypatch):
+        # at jobs=2 the n = 100 block runs in a worker forked from this
+        # process, so it sees the patched reconstruct too
+        real = verification.reconstruct
+        monkeypatch.setattr(verification, "reconstruct",
+                            lambda n, s: identity(n) if n == 100 else real(n, s))
+        reports = []
+        for jobs in (1, 2):
+            opts = verification.VerifyOptions(max_n=4, sampled_n=(12,), samples=30, jobs=jobs)
+            reports.append([(r.name, r.passed, r.detail) for r in verification.run_all(opts)])
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1]
+        failed = [line for line in reports[0] if not line[1]]
+        assert failed == [("reconstruction-round-trip", False,
+                           "round trip fails for a sample at n=100")]
+
+    def test_a_crash_while_blocks_are_in_flight_fails_one_line(self, monkeypatch):
+        def crash(opts):
+            raise RuntimeError("injected")
+
+        checks = tuple((name, crash if fn is verification.check_cover_criterion else fn)
+                       for name, fn in verification.ALL_CHECKS)
+        monkeypatch.setattr(verification, "ALL_CHECKS", checks)
+        opts = verification.VerifyOptions(max_n=4, sampled_n=(12,), samples=30, jobs=2)
+        lines = verification.render_report(verification.run_all(opts)).splitlines()
+        assert multiprocessing.active_children() == []
+        assert len(lines) - 1 == len(checks) == 26
+        assert lines[-1] == "25/26 checks passed"
+        assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+            "cover-criterion-vs-length-oracle"]
+        failed = next(line for line in lines if line.startswith("FAIL"))
+        assert failed.endswith("error: RuntimeError('injected')")
+
+    def test_shared_blocks_use_one_pool_only_above_one_job(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("not expected here")
+
+        opts = verification.VerifyOptions(max_n=3, sampled_n=(12,), samples=30, jobs=1)
+        monkeypatch.setattr(verification, "process_pool", refused)
+        threads = threading.active_count()
+        assert all(res.passed for res in verification.run_all(opts))
+        assert threading.active_count() == threads
+        monkeypatch.undo()
+        # above one job the sweep and reconstruction blocks come from the
+        # shared pool, never from map_blocks
+        monkeypatch.setattr(verification, "map_blocks", refused)
+        opts = verification.VerifyOptions(max_n=3, sampled_n=(12,), samples=30, jobs=2)
+        assert all(res.passed for res in verification.run_all(opts))
+        assert multiprocessing.active_children() == []
 
     def test_entry_point_via_subprocess(self):
         proc = subprocess.run(

@@ -22,7 +22,7 @@ from bruhat_degrees.stats import (
     triple_sum_expectation,
 )
 from bruhat_degrees import bruhat
-from bruhat_degrees._parallel import block_sizes
+from bruhat_degrees._parallel import block_sizes, submit_blocks
 from bruhat_degrees.bruhat import down_degree, up_degree
 from bruhat_degrees.perm import Permutation, from_one_line, random_permutation
 from conftest import all_perms
@@ -268,3 +268,18 @@ class TestMonteCarlo:
     ])
     def test_block_sizes(self, total, size, expected):
         assert block_sizes(total, size) == expected
+
+    def test_submit_blocks_costliest_first_futures_in_task_order(self):
+        submitted = []
+
+        class Recorder:  # a pool that records each submit and runs nothing
+            def submit(self, fn, block):
+                submitted.append(block)
+                return block
+
+        tasks = [(abs, block) for block in (1, 3, -5, 2, -3)]
+        assert submit_blocks(Recorder(), tasks, cost=lambda fn, b: abs(b)) == [1, 3, -5, 2, -3]
+        assert submitted == [-5, 3, -3, 2, 1]  # ties keep task order
+        submitted.clear()
+        assert submit_blocks(Recorder(), tasks) == [1, 3, -5, 2, -3]
+        assert submitted == [1, 3, -5, 2, -3]
