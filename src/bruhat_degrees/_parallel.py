@@ -8,10 +8,10 @@ each future when it needs the result (``verification.run_all`` at jobs > 1).
 
 ``concurrent.futures`` is imported only when a pool starts, so a caller
 whose work is one block, or runs at one job, never loads it.  Open pools and
-submit to them from the main thread only: with the fork start method a pool
+submit to them from the main thread only, one pool at a time: a fork pool
 forks all of its workers on the first submit, before its manager thread
-starts, and a fork made from any other thread may copy a lock that thread
-holds.
+starts, and a fork made while another thread runs may copy a lock that
+thread holds.
 """
 from __future__ import annotations
 
@@ -47,10 +47,15 @@ def block_sizes(total: int, size: int) -> list[int]:
 @contextlib.contextmanager
 def process_pool(workers: int) -> Iterator[Any]:
     """A pool of worker processes, shut down however the block ends: blocks
-    not yet started are cancelled and running ones are waited for."""
+    not yet started are cancelled and running ones are waited for.  Workers
+    fork where the platform can, whatever its default (forkserver on Linux
+    from Python 3.14): callers' preloads, such as numpy.random, and the forks
+    at the first submit, before the pool starts a thread, both assume fork."""
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context(method))
     try:
         yield pool
     finally:

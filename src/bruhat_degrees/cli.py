@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="graph view of a permutation")
     p.add_argument("perm")
     p.add_argument("--kind", choices=("descent", "total", "rth"), default="descent")
-    p.add_argument("--r", type=_int, default=1, help="order for --kind rth")
+    p.add_argument("--r", type=_int, default=None, help="order for --kind rth (default 1)")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
     p = sub.add_parser("reconstruct", help="permutation from a descent-set file")
@@ -106,7 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags that were given, so its defaults live in one place
     p = sub.add_parser("verify", help="check every theorem, print one line per fact")
     p.add_argument("--max-n", type=_int,
-                   help="exhaustive checks run for all n up to this bound")
+                   help="bound on n for the exhaustive checks: the maxima and "
+                        "classification checks scan every S_n up to it, the others stop "
+                        "at the n their line prints, which can be lower")
     p.add_argument("--sampled-n", help="comma-separated degrees for the sampled checks")
     p.add_argument("--samples", type=_int)
     p.add_argument("--seed", type=_int)
@@ -134,12 +136,13 @@ def _cmd_descents(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
+    if args.r is not None and args.kind != "rth":
+        raise ValueError(f"--r applies only to --kind rth, not --kind {args.kind}")
     p = parse_permutation(args.perm)
     if args.kind == "total":
         g = graphs.total_degree_graph(p)
     else:
-        r = 1 if args.kind == "descent" else args.r
-        g = graphs.strong_descent_graph(p, r)
+        g = graphs.strong_descent_graph(p, 1 if args.r is None else args.r)
     sys.stdout.write(g.to_dot() if args.format == "dot" else g.to_json() + "\n")
     return 0
 

@@ -332,6 +332,8 @@ def _check_stat(n: int, stat: str, r: int | None) -> str:
             raise ValueError("statistic 'rth' needs the order parameter r")
         bruhat._check_order(n, r)
         return f"rth({r})"
+    if r is not None:
+        raise ValueError(f"statistic {stat!r} takes no order parameter r")
     return stat
 
 

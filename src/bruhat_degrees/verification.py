@@ -22,6 +22,8 @@ blocks.  At jobs > 1, ``run_all`` opens one process pool before the first
 check and submits every one of those blocks to it, longest first, while the
 main process runs the checks in order; the checks that need the blocks wait
 for their futures, so the timing column bills them the wait, not the work.
+It is the only pool a run opens: the exhaustive scans and the Monte Carlo
+means, one block each at the sizes verify takes, run in the main process.
 At one job, and for calls outside ``run_all``, the blocks run when first
 needed, through ``map_blocks``.  Either way the results merge in size order,
 then block order, so the report does not depend on --jobs.
@@ -33,7 +35,7 @@ import importlib
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
@@ -82,12 +84,12 @@ class CheckResult:
     seconds: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyOptions:
     """What a verify run examines.  Options that would examine nothing, or
     that no check can serve, are refused here, so the CLI and library callers
     get the same one-line errors.  --samples also sizes the reconstruction
-    samples, which run at any --sampled-n."""
+    samples, which run at any --sampled-n.  Frozen: a memo kept on it never goes stale."""
     max_n: int = 6
     sampled_n: tuple[int, ...] = (40,)
     samples: int = 1000
@@ -102,6 +104,9 @@ class VerifyOptions:
         if any(n < 3 for n in self.sampled_n):
             raise ValueError("--sampled-n sizes must be >= 3, got "
                              + ",".join(map(str, self.sampled_n)))
+        if len(set(self.sampled_n)) < len(self.sampled_n):
+            raise ValueError("--sampled-n sizes must be distinct, got "
+                             + ",".join(map(str, self.sampled_n)))
         for n in self.sampled_n:
             _check_degree_cap(n)  # the sweep builds an n x (n + 1) table per sample
         if self.seed < 0:
@@ -112,13 +117,13 @@ class VerifyOptions:
 
 
 def _memo(opts: VerifyOptions) -> dict:
-    """The per-run memo, kept on the options object."""
+    """The memo kept on the options object, which run_all copies per run."""
     return vars(opts).setdefault("_memo", {})
 
 
 def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
-    """compute(), once per verify run: the result is kept on the options
-    object, so the checks that need the same expensive value share it."""
+    """compute(), once per options object, hence once per verify run: the
+    checks that need the same expensive value share it."""
     memo = _memo(opts)
     if key not in memo:
         memo[key] = compute()
@@ -128,7 +133,7 @@ def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
 def _exhaustive(opts: VerifyOptions, n: int, stat: str) -> stats.ExhaustiveScan:
     """The engine's scan of S_n for one statistic, once per verify run: the
     maxima, classification and expectation checks all read it."""
-    return _per_run(opts, ("scan", n, stat), lambda: stats.exhaustive(n, stat, jobs=opts.jobs))
+    return _per_run(opts, ("scan", n, stat), lambda: stats.exhaustive(n, stat))
 
 
 # the tags of _draw's streams, one per consumer
@@ -463,8 +468,7 @@ def check_expectation_asymptotics(opts: VerifyOptions) -> tuple[bool, str]:
 def check_monte_carlo(opts: VerifyOptions) -> tuple[bool, str]:
     """Sampled means sit within four standard errors of the exact value."""
     for n in (10, 50):
-        mean, se = stats.monte_carlo_mean(
-            n, "down", samples=max(opts.samples, 1000), seed=opts.seed, jobs=opts.jobs)
+        mean, se = stats.monte_carlo_mean(n, "down", samples=max(opts.samples, 1000), seed=opts.seed)
         exact = float(stats.expected_down_degree(n))
         if abs(mean - exact) > 4 * se:
             return _fail(f"sample mean {mean:.4f} vs exact {exact:.4f} at n={n} "
@@ -721,10 +725,10 @@ def _merge_sweep(parts: list[dict[str, tuple[bool, str]]]) -> dict[str, tuple[bo
 def _block_results(opts: VerifyOptions, fn: Callable[[T], object], blocks: list[T]) -> list:
     """fn over blocks, in block order: the futures that run_all submitted for
     this run when there are any, else computed now through map_blocks."""
-    futures = _memo(opts).get(("blocks", fn))
+    futures = _memo(opts).get("blocks")
     if futures is None:
         return map_blocks(fn, blocks, opts.jobs)
-    return [future.result() for future in futures]
+    return [futures[fn, block].result() for block in blocks]
 
 
 def _block_cost(fn: Callable, block: tuple[int, int, int, int]) -> float:
@@ -745,22 +749,14 @@ def _blocks_in_flight(opts: VerifyOptions) -> Iterator[None]:
     if jobs == 1:
         yield
         return
-    shared = {_structural_block: _sweep_blocks(opts.sampled_n, opts.samples, opts.seed),
-              _reconstruction_block: _reconstruction_blocks(opts)}
-    tasks = [(fn, block) for fn, blocks in shared.items() for block in blocks]
+    tasks = ([(_structural_block, b) for b in _sweep_blocks(opts.sampled_n, opts.samples, opts.seed)]
+             + [(_reconstruction_block, b) for b in _reconstruction_blocks(opts)])
     # numpy loads numpy.random on first use; loading it before the fork lets
     # the workers share the parent's copy instead of each importing its own
     importlib.import_module("numpy.random")
-    memo = _memo(opts)
     with process_pool(min(jobs, len(tasks))) as pool:
-        futures = iter(submit_blocks(pool, tasks, _block_cost))
-        for fn, blocks in shared.items():
-            memo[("blocks", fn)] = [next(futures) for _ in blocks]
-        try:
-            yield
-        finally:
-            for fn in shared:
-                del memo[("blocks", fn)]
+        _memo(opts)["blocks"] = dict(zip(tasks, submit_blocks(pool, tasks, _block_cost)))
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +793,7 @@ ALL_CHECKS: tuple[tuple[str, Callable[[VerifyOptions], tuple[bool, str]]], ...] 
 
 
 def run_all(opts: VerifyOptions) -> list[CheckResult]:
+    opts = replace(opts)  # a fresh memo, dropped with the run
     results = []
     with _blocks_in_flight(opts):
         for name, fn in ALL_CHECKS:

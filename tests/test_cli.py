@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruhat_degrees import bruhat, cli, stats, verification
+from bruhat_degrees import _parallel, bruhat, cli, stats, verification
 from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import build_parser, main
@@ -98,6 +99,16 @@ class TestGraph:
         payload = json.loads(out)
         assert payload["n"] == 9
         assert len(payload["edges"]) == 19
+
+    def test_rth_kind_defaults_to_order_one(self, capsys):
+        assert run_cli(capsys, "graph", EXAMPLE_TEXT, "--kind", "rth") == run_cli(
+            capsys, "graph", EXAMPLE_TEXT)
+
+    @pytest.mark.parametrize("kind", ["descent", "total"])
+    def test_order_refused_outside_rth(self, capsys, kind):
+        code, out, err = run_cli(capsys, "graph", "[3,1,2]", "--kind", kind, "--r", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: --r applies only to --kind rth, not --kind {kind}\n"
 
 
 class TestReconstruct:
@@ -251,6 +262,16 @@ class TestExpectAndSampling:
         code, out, err = run_cli(capsys, "sample", "100001", "--stat", stat, "--seed", "1")
         assert (code, out, err) == (2, "", "error: degree n=100001 exceeds the cap 100000\n")
 
+    @pytest.mark.parametrize("argv", ["distribution 5 --r 3",
+                                      "distribution 5 --stat total --r 1",
+                                      "sample 50 --stat down --r 3 --seed 1",
+                                      "sample 50 --stat total --r 3 --seed 1"])
+    def test_order_refused_for_down_and_total(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        stat = "total" if "total" in argv else "down"
+        assert err == f"error: statistic {stat!r} takes no order parameter r\n"
+
     def test_sample_requires_seed(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["sample", "8"])
@@ -259,6 +280,16 @@ class TestExpectAndSampling:
 
 def strip_timings(report):
     return re.sub(r"\s+\d+\.\d\ds", "", report)
+
+
+# the threads alive in this process at each fork; a hook cannot be removed,
+# so this one serves every test, each clearing the list first
+FORK_THREADS: list[int] = []
+os.register_at_fork(before=lambda: FORK_THREADS.append(threading.active_count()))
+
+# a small verify run whose Monte Carlo means, of at least 1000 samples each,
+# split into three blocks once stats._MC_BLOCK is 400
+SPLIT_RUN = dict(samples=30, max_n=3, sampled_n=(3,), jobs=2)
 
 
 class TestVerify:
@@ -400,6 +431,41 @@ class TestVerify:
         assert all(res.passed for res in verification.run_all(opts))
         assert multiprocessing.active_children() == []
 
+    def test_no_fork_while_the_run_has_threads(self, monkeypatch):
+        monkeypatch.setattr(stats, "_MC_BLOCK", 400)
+        threads = threading.active_count()
+        FORK_THREADS.clear()
+        results = verification.run_all(verification.VerifyOptions(**SPLIT_RUN))
+        assert sum(res.passed for res in results) == len(results) == 26
+        assert FORK_THREADS and set(FORK_THREADS) == {threads}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs,pools", [(1, 0), (2, 1)])
+    def test_a_run_opens_one_pool_above_one_job(self, monkeypatch, jobs, pools):
+        monkeypatch.setattr(stats, "_MC_BLOCK", 400)
+        opened = []
+        for module in (_parallel, verification):
+            monkeypatch.setattr(module, "process_pool", lambda workers, real=module.process_pool:
+                                opened.append(workers) or real(workers))
+        opts = verification.VerifyOptions(**dict(SPLIT_RUN, jobs=jobs))
+        assert all(res.passed for res in verification.run_all(opts))
+        assert len(opened) == pools
+
+    def test_each_run_computes_its_own_sweep(self, monkeypatch):
+        calls = []
+        real = verification._structural_block
+        monkeypatch.setattr(verification, "_structural_block",
+                            lambda block: calls.append(block) or real(block))
+        opts = verification.VerifyOptions(**dict(SPLIT_RUN, jobs=1))
+        per_run = []
+        for _ in range(2):
+            assert all(res.passed for res in verification.run_all(opts))
+            per_run.append(len(calls))
+            calls.clear()
+        assert per_run == [1, 1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.samples = 10
+
     def test_entry_point_via_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bruhat_degrees.cli", "degrees", "[3,2,1]"],
@@ -500,6 +566,9 @@ class TestVerifyOptions:
         (dict(samples=0), "--samples must be >= 1, got 0"),
         (dict(samples=-5, sampled_n=(2,)), "--samples must be >= 1, got -5"),
         (dict(sampled_n=(40, 2)), "--sampled-n sizes must be >= 3, got 40,2"),
+        (dict(sampled_n=(40, 40)), "--sampled-n sizes must be distinct, got 40,40"),
+        (dict(sampled_n=(12, 2, 12)), "--sampled-n sizes must be >= 3, got 12,2,12"),
+        (dict(sampled_n=(12, 40, 12), seed=-1), "--sampled-n sizes must be distinct, got 12,40,12"),
         (dict(sampled_n=(1,), seed=-1), "--sampled-n sizes must be >= 3, got 1"),
         (dict(sampled_n=(2, MAX_DEGREE + 1)), "--sampled-n sizes must be >= 3, got 2,100001"),
         (dict(sampled_n=(40, MAX_DEGREE + 1), seed=-1),

@@ -168,6 +168,13 @@ class TestDistribution:
     def test_parallel_matches_serial(self):
         assert distribution(6, "down", jobs=2).counts == distribution(6, "down").counts
 
+    @pytest.mark.parametrize("call", [distribution, exhaustive_mean, monte_carlo_mean])
+    @pytest.mark.parametrize("stat", ["down", "total"])
+    def test_order_refused_where_it_means_nothing(self, call, stat):
+        with pytest.raises(ValueError) as err:
+            call(5, stat, r=3)
+        assert str(err.value) == f"statistic {stat!r} takes no order parameter r"
+
 
 class TestBatchHelpers:
     def test_batch_degrees_match_scalar(self):
