@@ -5,6 +5,7 @@ results in block order.  It is built on ``process_pool`` and
 ``submit_blocks``, which a caller can also use directly to keep one pool
 busy with the blocks of several functions while it does other work, reading
 each future when it needs the result (``verification.run_all`` at jobs > 1).
+A pool starts blocks in the order they were submitted.
 
 ``concurrent.futures`` is imported only when a pool starts, so a caller
 whose work is one block, or runs at one job, never loads it.  Open pools and
@@ -33,8 +34,12 @@ def default_jobs() -> int:
 
 def resolve_jobs(jobs: int | None) -> int:
     """The worker count that a --jobs value asks for: None means every CPU
-    this process may run on, and anything below 1 means 1."""
-    return default_jobs() if jobs is None else max(1, jobs)
+    this process may run on; a count below 1 is refused."""
+    if jobs is None:
+        return default_jobs()
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def block_sizes(total: int, size: int) -> list[int]:
@@ -62,15 +67,10 @@ def process_pool(workers: int) -> Iterator[Any]:
         pool.shutdown(cancel_futures=True)
 
 
-def submit_blocks(pool: Any, tasks: Sequence[tuple[Callable[[A], B], A]],
-                  cost: Callable[[Callable[[A], B], A], float] | None = None) -> list[Any]:
-    """Submit fn(block) for each (fn, block) of tasks, the costliest first
-    when cost estimates each one; the futures come back in task order."""
-    order = range(len(tasks))
-    if cost is not None:
-        order = sorted(order, key=lambda i: -cost(*tasks[i]))
-    futures = {i: pool.submit(*tasks[i]) for i in order}
-    return [futures[i] for i in range(len(tasks))]
+def submit_blocks(pool: Any, tasks: Sequence[tuple[Callable[[A], B], A]]) -> list[Any]:
+    """Submit fn(block) for each (fn, block) of tasks, in task order; the
+    futures come back in the same order."""
+    return [pool.submit(fn, block) for fn, block in tasks]
 
 
 def map_blocks(fn: Callable[[A], B], blocks: Sequence[A], jobs: int | None) -> list[B]:

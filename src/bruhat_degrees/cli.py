@@ -23,6 +23,7 @@ import json
 import sys
 
 from . import bruhat, extremal, graphs, stats
+from ._parallel import resolve_jobs
 from .reconstruct import ValidationFailure, reconstruct
 from .perm import InvalidPermutationError, _parse_int, parse_permutation
 
@@ -37,11 +38,14 @@ _int.__name__ = "int"  # argparse names the type in its message: "invalid int va
 
 
 class _JobsAction(argparse.Action):
-    """Store a --jobs value, rejecting counts below 1 with one line on stderr."""
+    """Store a --jobs value, rejecting counts below 1 with one line on stderr
+    while parsing, in the words of ``_parallel.resolve_jobs``."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values < 1:
-            parser.exit(2, f"error: {option_string} must be >= 1, got {values}\n")
+        try:
+            resolve_jobs(values)
+        except ValueError as exc:
+            parser.exit(2, f"error: {exc}\n")
         setattr(namespace, self.dest, values)
 
 
@@ -106,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags that were given, so its defaults live in one place
     p = sub.add_parser("verify", help="check every theorem, print one line per fact")
     p.add_argument("--max-n", type=_int,
-                   help="bound on n for the exhaustive checks: the maxima and "
-                        "classification checks scan every S_n up to it, the others stop "
-                        "at the n their line prints, which can be lower")
+                   help="bound on n for the exhaustive checks: the maxima, "
+                        "classification and exact-mean checks scan every S_n up to it, the "
+                        "others stop at the n their line prints, which can be lower")
     p.add_argument("--sampled-n", help="comma-separated degrees for the sampled checks")
     p.add_argument("--samples", type=_int)
     p.add_argument("--seed", type=_int)
@@ -152,8 +156,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         text = fh.read().strip()
     if text.startswith("{"):
         descents = bruhat.StrongDescentSet.from_json(text)
-        if descents.n != args.n:
-            raise ValueError(f"file carries n={descents.n}, command line says {args.n}")
     else:
         descents = bruhat.StrongDescentSet.from_text(args.n, 1, text)
     print(reconstruct(args.n, descents))

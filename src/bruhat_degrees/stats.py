@@ -51,6 +51,7 @@ MAX_EXHAUSTIVE_N = 9
 _BLOCK_WORDS = math.factorial(9)  # words of the last level S_10 builds in one piece
 
 _MC_BLOCK = 20_000
+_MC_CELLS = 2**25  # cells of one Monte Carlo block's sample matrix, at most
 
 
 def harmonic(n: int) -> Fraction:
@@ -415,7 +416,8 @@ def monte_carlo_mean(
     permutations; byte-deterministic given (n, stat, samples, seed).
 
     Samples are drawn in fixed blocks with per-block derived seeds, so the
-    result does not depend on the number of workers.
+    result does not depend on the number of workers.  A block holds at most
+    ``_MC_BLOCK`` rows and ``_MC_CELLS`` cells, or one row where n is larger.
     """
     _check_stat(n, stat, r)
     _check_degree_cap(n)
@@ -423,8 +425,9 @@ def monte_carlo_mean(
         raise ValueError("need at least 2 samples for a standard error")
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
+    rows = min(_MC_BLOCK, max(1, _MC_CELLS // n))
     blocks = [(n, stat, r or 0, seed, index, take)
-              for index, take in enumerate(block_sizes(samples, _MC_BLOCK))]
+              for index, take in enumerate(block_sizes(samples, rows))]
     parts = map_blocks(_mc_block, blocks, jobs)
     count = sum(c for c, _, _ in parts)
     s1 = sum(s for _, s, _ in parts)

@@ -18,19 +18,20 @@ through ``stats.exhaustive``, which checks its own limit; ``VerifyOptions``
 refuses a --max-n above it before any check runs.
 
 The sampled structural sweep and the reconstruction samples are computed in
-blocks.  At jobs > 1, ``run_all`` opens one process pool before the first
-check and submits every one of those blocks to it, longest first, while the
-main process runs the checks in order; the checks that need the blocks wait
-for their futures, so the timing column bills them the wait, not the work.
-It is the only pool a run opens: the exhaustive scans and the Monte Carlo
-means, one block each at the sizes verify takes, run in the main process.
-At one job, and for calls outside ``run_all``, the blocks run when first
-needed, through ``map_blocks``.  Either way the results merge in size order,
-then block order, so the report does not depend on --jobs.
+the blocks that ``_shared_blocks`` lists.  At jobs > 1, ``run_all`` opens one
+process pool before the first check and submits them to it, the sweep first,
+while the main process runs the checks in order; the checks that need the
+blocks wait for their futures, so the timing column bills them the wait, not
+the work.  It is the only pool a run opens: the exhaustive scans and the
+Monte Carlo means, one block each at the sizes verify takes, run in the main
+process.  At one job, and for calls outside ``run_all``, the blocks run when
+first needed, through ``map_blocks``.  Either way the results merge in list
+order, so the report does not depend on --jobs.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib
 import math
 import time
@@ -89,7 +90,8 @@ class VerifyOptions:
     """What a verify run examines.  Options that would examine nothing, or
     that no check can serve, are refused here, so the CLI and library callers
     get the same one-line errors.  --samples also sizes the reconstruction
-    samples, which run at any --sampled-n.  Frozen: a memo kept on it never goes stale."""
+    samples, which run at any --sampled-n.  Frozen, so its memo never goes
+    stale; the memo is no field, so asdict, == and replace ignore it."""
     max_n: int = 6
     sampled_n: tuple[int, ...] = (40,)
     samples: int = 1000
@@ -114,17 +116,17 @@ class VerifyOptions:
         if self.max_n > stats.MAX_EXHAUSTIVE_N:
             raise ValueError(f"--max-n {self.max_n} exceeds the exhaustive limit "
                              f"{stats.MAX_EXHAUSTIVE_N}")
+        resolve_jobs(self.jobs)
 
-
-def _memo(opts: VerifyOptions) -> dict:
-    """The memo kept on the options object, which run_all copies per run."""
-    return vars(opts).setdefault("_memo", {})
+    @functools.cached_property
+    def _memo(self) -> dict:  # what the checks of one run share
+        return {}
 
 
 def _per_run(opts: VerifyOptions, key: object, compute: Callable[[], T]) -> T:
     """compute(), once per options object, hence once per verify run: the
     checks that need the same expensive value share it."""
-    memo = _memo(opts)
+    memo = opts._memo
     if key not in memo:
         memo[key] = compute()
     return memo[key]
@@ -447,13 +449,13 @@ def check_expectation_identities(opts: VerifyOptions) -> tuple[bool, str]:
     for n in range(1, 201):
         if stats.triple_sum_expectation(n) != stats.expected_down_degree(n):
             return _fail(f"triple sum differs from the closed form at n={n}")
-    for n in range(1, min(opts.max_n, 8) + 1):
+    for n in range(1, opts.max_n + 1):
         if _exhaustive(opts, n, "down").histogram.mean() != stats.expected_down_degree(n):
             return _fail(f"exhaustive mean differs from the closed form at n={n}")
-    for n in range(1, min(opts.max_n, 7) + 1):
+    for n in range(1, opts.max_n + 1):
         if _exhaustive(opts, n, "total").histogram.mean() != 2 * stats.expected_down_degree(n):
             return _fail(f"mean total degree is not twice the mean down degree at n={n}")
-    return _ok(f"triple sum to n=200, exhaustive to n<={min(opts.max_n, 8)}")
+    return _ok(f"triple sum to n=200, exhaustive to n<={opts.max_n}")
 
 
 def check_expectation_asymptotics(opts: VerifyOptions) -> tuple[bool, str]:
@@ -515,23 +517,16 @@ def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
         for p in iter_permutations(n):
             if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
                 return _fail(f"round trip fails for {p}")
-    blocks = _reconstruction_blocks(opts)
-    for ok, detail in _block_results(opts, _reconstruction_block, blocks):
+    for ok, detail in _block_results(opts, _reconstruction_block):
         if not ok:
             return _fail(detail)
-    return _ok(f"exhaustive n<={top}, {min(opts.samples, 10_000)} samples "
-               f"at n in {[n for n, *_ in blocks]}")
-
-
-def _reconstruction_blocks(opts: VerifyOptions) -> list[tuple[int, int, int, int]]:
-    """One block of samples per size: the sampled sizes and 20, 50, 100."""
-    sizes = sorted(set(opts.sampled_n) | {20, 50, 100})
-    return [(n, opts.seed, _RECONSTRUCTION_TAG, min(opts.samples, 10_000)) for n in sizes]
+    sizes = sorted({n for fn, (n, *_) in _shared_blocks(opts) if fn is _reconstruction_block})
+    return _ok(f"exhaustive n<={top}, {min(opts.samples, 10_000)} samples at n in {sizes}")
 
 
 def _reconstruction_block(args: tuple[int, int, int, int]) -> tuple[bool, str]:
-    n, seed, tag, count = args
-    for p in _draw(seed, tag, n, count):
+    n, seed, index, count = args
+    for p in _draw(seed, _RECONSTRUCTION_TAG, n, count, block=index):
         if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
             return False, f"round trip fails for a sample at n={n}"
     return True, ""
@@ -686,26 +681,11 @@ def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:
     return graphs.LabeledGraph(n, rows)
 
 
-def structural_sample_check(
-    n: int, samples: int, seed: int, jobs: int | None = 1,
-) -> dict[str, tuple[bool, str]]:
-    """Run the five structural lemma checks on random samples at degree n."""
-    return _merge_sweep(map_blocks(_structural_block, _sweep_blocks((n,), samples, seed), jobs))
-
-
 def _structural_samples(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
-    """The sampled sweep over every size in opts.sampled_n; several checks
-    share it, so it runs once per verify run."""
-    blocks = _sweep_blocks(opts.sampled_n, opts.samples, opts.seed)
+    """The five structural lemma checks on the samples of every size in
+    opts.sampled_n; several checks share them, so they run once per verify run."""
     return _per_run(opts, "sweep",
-                    lambda: _merge_sweep(_block_results(opts, _structural_block, blocks)))
-
-
-def _sweep_blocks(sizes: tuple[int, ...], samples: int, seed: int
-                  ) -> list[tuple[int, int, int, int]]:
-    """The sweep's blocks: up to 2000 samples each, in size order."""
-    return [(n, seed, index, take)
-            for n in sizes for index, take in enumerate(block_sizes(samples, 2000))]
+                    lambda: _merge_sweep(_block_results(opts, _structural_block)))
 
 
 def _merge_sweep(parts: list[dict[str, tuple[bool, str]]]) -> dict[str, tuple[bool, str]]:
@@ -722,40 +702,45 @@ def _merge_sweep(parts: list[dict[str, tuple[bool, str]]]) -> dict[str, tuple[bo
 # ---------------------------------------------------------------------------
 # the blocks shared through one process pool
 
-def _block_results(opts: VerifyOptions, fn: Callable[[T], object], blocks: list[T]) -> list:
-    """fn over blocks, in block order: the futures that run_all submitted for
-    this run when there are any, else computed now through map_blocks."""
-    futures = _memo(opts).get("blocks")
+def _shared_blocks(opts: VerifyOptions) -> list[tuple[Callable, tuple[int, int, int, int]]]:
+    """Every sampled block of a run, as (fn, (n, seed, index, count)): the
+    sweep at each --sampled-n size, then the reconstruction samples at those
+    sizes and 20, 50, 100, each size split into blocks of at most 2000, in
+    size order, then block order."""
+    kinds = ((_structural_block, opts.sampled_n, opts.samples),
+             (_reconstruction_block, sorted(set(opts.sampled_n) | {20, 50, 100}),
+              min(opts.samples, 10_000)))
+    return [(fn, (n, opts.seed, index, take)) for fn, sizes, samples in kinds
+            for n in sizes for index, take in enumerate(block_sizes(samples, 2000))]
+
+
+def _block_results(opts: VerifyOptions, fn: Callable) -> list:
+    """fn over its shared blocks, in list order: the futures that run_all
+    submitted for this run if any, else computed now through map_blocks."""
+    blocks = [block for f, block in _shared_blocks(opts) if f is fn]
+    futures = opts._memo.get("blocks")
     if futures is None:
         return map_blocks(fn, blocks, opts.jobs)
     return [futures[fn, block].result() for block in blocks]
 
 
-def _block_cost(fn: Callable, block: tuple[int, int, int, int]) -> float:
-    """Relative run time of one shared block of count samples at degree n:
-    at n = 20..200 a sweep sample took 3.4 to 7 times a reconstruction
-    sample, and both grew about as n^1.5."""
-    n, _, _, count = block
-    return (5 if fn is _structural_block else 1) * count * n ** 1.5
-
-
 @contextlib.contextmanager
 def _blocks_in_flight(opts: VerifyOptions) -> Iterator[None]:
-    """At jobs > 1, submit the sweep and reconstruction blocks of this run
-    to one pool, longest first, and leave their futures in the memo for the
-    checks to read; the pool closes when the run ends, however it ends.  At
-    one job nothing starts."""
+    """At jobs > 1, submit the shared blocks of this run to one pool, the
+    sweep first, then each kind by decreasing n (costliest first at default
+    flags), and leave their futures in the memo for the checks to read; the
+    pool closes when the run ends, however it ends.  At one job nothing starts."""
     jobs = resolve_jobs(opts.jobs)
     if jobs == 1:
         yield
         return
-    tasks = ([(_structural_block, b) for b in _sweep_blocks(opts.sampled_n, opts.samples, opts.seed)]
-             + [(_reconstruction_block, b) for b in _reconstruction_blocks(opts)])
+    tasks = sorted(_shared_blocks(opts),
+                   key=lambda task: (task[0] is not _structural_block, -task[1][0]))
     # numpy loads numpy.random on first use; loading it before the fork lets
     # the workers share the parent's copy instead of each importing its own
     importlib.import_module("numpy.random")
     with process_pool(min(jobs, len(tasks))) as pool:
-        _memo(opts)["blocks"] = dict(zip(tasks, submit_blocks(pool, tasks, _block_cost)))
+        opts._memo["blocks"] = dict(zip(tasks, submit_blocks(pool, tasks)))
         yield
 
 

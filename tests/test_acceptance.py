@@ -104,6 +104,7 @@ def test_criterion_5_asymptotics_and_monte_carlo():
 def test_criterion_6_reconstruction():
     for p in all_perms(8):
         assert reconstruct(8, bruhat.strong_descent_set(p, 1)) == p
+    # block indices of 900 and up: streams that no verify run draws
     blocks = [(n, SEED, 900 + i, 10_000) for i, n in enumerate((20, 50, 100))]
     from bruhat_degrees._parallel import map_blocks
     for ok, detail in map_blocks(verification._reconstruction_block, blocks, JOBS):
@@ -133,7 +134,8 @@ def test_criterion_7_structural_lemmas():
         for r in range(1, n):
             assert graphs.turan_number(r + 1, n) <= (
                 math.comb(r + 1, 2) * Fraction(n, r + 1) ** 2)
-    sweep = verification.structural_sample_check(40, 10_000, SEED, jobs=JOBS)
+    sweep = verification._structural_samples(verification.VerifyOptions(
+        sampled_n=(40,), samples=10_000, seed=SEED, jobs=JOBS))
     for key, (ok, detail) in sweep.items():
         assert ok, f"{key}: {detail}"
     report("criterion 7: triangle-free, K_{r+2}-free (all r), min-degree bound, "

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -345,6 +346,16 @@ class TestVerify:
         assert all(res.passed for res in verification.run_all(opts))
         assert sorted(calls) == [(n, stat) for n in (1, 2, 3, 4) for stat in ("down", "total")]
 
+    def test_exact_means_follow_max_n(self, monkeypatch):
+        read = []
+        real = verification._exhaustive
+        monkeypatch.setattr(verification, "_exhaustive",
+                            lambda opts, n, stat: read.append((n, stat)) or real(opts, n, stat))
+        opts = verification.VerifyOptions(max_n=8, sampled_n=(), samples=10)
+        assert verification.check_expectation_identities(opts) == (
+            True, "triple sum to n=200, exhaustive to n<=8")
+        assert sorted(read) == [(n, stat) for n in range(1, 9) for stat in ("down", "total")]
+
     @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_merges_sizes_in_order(self, monkeypatch, jobs, broken):
@@ -355,7 +366,7 @@ class TestVerify:
         opts = verification.VerifyOptions(sampled_n=(12, 20), samples=300, jobs=jobs)
         expected = {}
         for n in opts.sampled_n:
-            part = verification.structural_sample_check(n, opts.samples, opts.seed, jobs=jobs)
+            part = verification._structural_samples(dataclasses.replace(opts, sampled_n=(n,)))
             for key, (ok, detail) in part.items():
                 if key not in expected or (expected[key][0] and not ok):
                     expected[key] = (ok, detail)
@@ -466,6 +477,42 @@ class TestVerify:
         with pytest.raises(dataclasses.FrozenInstanceError):
             opts.samples = 10
 
+    def test_pool_gets_the_sweep_first_then_each_kind_by_decreasing_n(self, monkeypatch):
+        submitted = []
+
+        class Recorder:  # a pool that records each submit and runs nothing
+            def submit(self, fn, block):
+                submitted.append((fn, block[0]))
+
+        monkeypatch.setattr(verification, "process_pool",
+                            lambda workers: contextlib.nullcontext(Recorder()))
+        with verification._blocks_in_flight(verification.VerifyOptions(jobs=2)):
+            pass
+        sweep, rebuild = verification._structural_block, verification._reconstruction_block
+        assert submitted == [(sweep, 40), (rebuild, 100), (rebuild, 50), (rebuild, 40),
+                             (rebuild, 20)]
+
+    def test_reconstruction_splits_into_blocks_of_2000(self, monkeypatch):
+        # record what each block asks for, and draw one row of it
+        keys = []
+        real = stats.random_permutation_matrix
+        monkeypatch.setattr(stats, "random_permutation_matrix",
+                            lambda n, count, key: keys.append((key, count)) or real(n, 1, key))
+        opts = verification.VerifyOptions(max_n=2, sampled_n=(), samples=2500)
+        assert verification.check_reconstruction(opts) == (
+            True, "exhaustive n<=2, 2500 samples at n in [20, 50, 100]")
+        tag = verification._RECONSTRUCTION_TAG
+        assert [key for key in keys if key[0][2] == 50] == [
+            ((0, tag, 50, 0), 2000), ((0, tag, 50, 1), 500)]
+
+    def test_the_memo_is_no_field(self):
+        opts = verification.VerifyOptions()
+        assert "_memo" not in dataclasses.asdict(opts)
+        opts._memo["sweep"] = "kept"
+        copy = dataclasses.replace(opts)
+        assert copy == opts and copy._memo == {}
+        assert opts._memo == {"sweep": "kept"}
+
     def test_entry_point_via_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bruhat_degrees.cli", "degrees", "[3,2,1]"],
@@ -537,6 +584,13 @@ class TestInputBoundaries:
         assert out == ""
         assert err == f"error: degree must be >= 1, got n={n}\n"
 
+    def test_json_set_of_another_degree_refused_by_reconstruct(self, capsys, tmp_path):
+        path = tmp_path / "set.json"
+        path.write_text('{"n":5,"r":1,"members":[]}')
+        code, out, err = run_cli(capsys, "reconstruct", "4", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: descent set carries n=5, expected 4\n"
+
     def test_descent_set_order_out_of_range(self, capsys, tmp_path):
         path = tmp_path / "set.json"
         path.write_text('{"n":1,"r":2,"members":[]}')
@@ -576,6 +630,9 @@ class TestVerifyOptions:
         (dict(seed=-1), "--seed must be >= 0, got -1"),
         (dict(seed=-1, max_n=12), "--seed must be >= 0, got -1"),
         (dict(max_n=12), "--max-n 12 exceeds the exhaustive limit 9"),
+        (dict(max_n=12, jobs=0), "--max-n 12 exceeds the exhaustive limit 9"),
+        (dict(jobs=0), "--jobs must be >= 1, got 0"),
+        (dict(jobs=-5), "--jobs must be >= 1, got -5"),
     ])
     def test_faults_refused_in_order(self, fields, message):
         with pytest.raises(ValueError) as err:

@@ -21,7 +21,7 @@ from bruhat_degrees.stats import (
     rising_factorial_coefficients,
     triple_sum_expectation,
 )
-from bruhat_degrees import bruhat
+from bruhat_degrees import bruhat, stats
 from bruhat_degrees._parallel import block_sizes, submit_blocks
 from bruhat_degrees.bruhat import down_degree, up_degree
 from bruhat_degrees.perm import Permutation, from_one_line, random_permutation
@@ -276,7 +276,7 @@ class TestMonteCarlo:
     def test_block_sizes(self, total, size, expected):
         assert block_sizes(total, size) == expected
 
-    def test_submit_blocks_costliest_first_futures_in_task_order(self):
+    def test_submit_blocks_in_task_order(self):
         submitted = []
 
         class Recorder:  # a pool that records each submit and runs nothing
@@ -285,8 +285,26 @@ class TestMonteCarlo:
                 return block
 
         tasks = [(abs, block) for block in (1, 3, -5, 2, -3)]
-        assert submit_blocks(Recorder(), tasks, cost=lambda fn, b: abs(b)) == [1, 3, -5, 2, -3]
-        assert submitted == [-5, 3, -3, 2, 1]  # ties keep task order
-        submitted.clear()
         assert submit_blocks(Recorder(), tasks) == [1, 3, -5, 2, -3]
         assert submitted == [1, 3, -5, 2, -3]
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: distribution(3, jobs=0), "--jobs must be >= 1, got 0"),
+        (lambda: monte_carlo_mean(20, samples=50, seed=1, jobs=-3), "--jobs must be >= 1, got -3"),
+    ])
+    def test_jobs_below_one_refused(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_blocks_bounded_by_cells(self, monkeypatch):
+        # a cap of 1000 cells gives blocks of 16 rows at n = 60
+        monkeypatch.setattr(stats, "_MC_CELLS", 1000)
+        shapes = []
+        real = stats.random_permutation_matrix
+        monkeypatch.setattr(stats, "random_permutation_matrix",
+                            lambda n, count, key: shapes.append((count, n)) or real(n, count, key))
+        serial = monte_carlo_mean(60, "total", samples=100, seed=1, jobs=1)
+        assert sorted(shapes) == [(4, 60)] + [(16, 60)] * 6
+        assert all(rows * n <= 1000 for rows, n in shapes)
+        assert monte_carlo_mean(60, "total", samples=100, seed=1, jobs=2) == serial
