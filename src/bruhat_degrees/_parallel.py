@@ -1,11 +1,11 @@
 """Order-preserving parallel work over picklable blocks.
 
 ``map_blocks`` applies one function to a list of blocks and returns the
-results in block order.  It is built on ``process_pool`` and
-``submit_blocks``, which a caller can also use directly to keep one pool
-busy with the blocks of several functions while it does other work, reading
-each future when it needs the result (``verification.run_all`` at jobs > 1).
-A pool starts blocks in the order they were submitted.
+results in block order.  It is built on ``process_pool``, which a caller can
+also use directly to keep one pool busy with the blocks of several functions
+while it does other work, reading each future when it needs the result
+(``verification.run_all`` at jobs > 1).  A pool starts blocks in the order
+they were submitted.
 
 ``concurrent.futures`` is imported only when a pool starts, so a caller
 whose work is one block, or runs at one job, never loads it.  Open pools and
@@ -67,12 +67,6 @@ def process_pool(workers: int) -> Iterator[Any]:
         pool.shutdown(cancel_futures=True)
 
 
-def submit_blocks(pool: Any, tasks: Sequence[tuple[Callable[[A], B], A]]) -> list[Any]:
-    """Submit fn(block) for each (fn, block) of tasks, in task order; the
-    futures come back in the same order."""
-    return [pool.submit(fn, block) for fn, block in tasks]
-
-
 def map_blocks(fn: Callable[[A], B], blocks: Sequence[A], jobs: int | None) -> list[B]:
     """Apply fn to each block; results come back in block order regardless of
     scheduling, so any downstream reduction is deterministic."""
@@ -80,4 +74,5 @@ def map_blocks(fn: Callable[[A], B], blocks: Sequence[A], jobs: int | None) -> l
     if jobs == 1 or len(blocks) <= 1:
         return [fn(block) for block in blocks]
     with process_pool(min(jobs, len(blocks))) as pool:
-        return [future.result() for future in submit_blocks(pool, [(fn, b) for b in blocks])]
+        futures = [pool.submit(fn, block) for block in blocks]
+        return [future.result() for future in futures]

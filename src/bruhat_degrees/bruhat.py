@@ -22,11 +22,11 @@ counts.  The inversion-number route (``length_change``) and the numpy
 prefix-sum table (``between_counts``) are kept as independent oracles.
 
 ``strong_descent_set`` runs the same scan on the inverse word instead.  A
-pair (x, y) of p^-1 maps to the member t_{p(y), p(x)} of p, and since the
-scan moves its start left to right and its walk likewise, the members come
-out already sorted by (a, b) with no sort.  The degrees and ``covered_by``
-keep the position-order scan of p itself, so the two routes check each
-other.
+pair (x, y) of p^-1 maps to the member (p(y), p(x)) of p, a plain pair, and
+since the scan moves its start left to right and its walk likewise, the
+members come out already sorted by (a, b) with no sort.  The degrees and
+``covered_by`` keep the position-order scan of p itself, so the two routes
+check each other.
 """
 from __future__ import annotations
 
@@ -56,15 +56,15 @@ class DegreeProfile:
 class StrongDescentSet:
     """The r-th strong descent set of a permutation of degree n.
 
-    ``members`` is sorted by (a, b) and free of repeats, so that serialized
-    output is deterministic.  ``strong_descent_set`` builds it in that order;
-    members given in any other order (user text or JSON) are sorted and
-    deduplicated on entry.
+    ``members`` holds (a, b) int pairs (a ``Transposition`` is one), sorted
+    and free of repeats, so that serialized output is deterministic.
+    ``strong_descent_set`` builds it in that order; members given in any
+    other order (user text or JSON) are sorted and deduplicated on entry.
     """
 
     n: int
     r: int
-    members: tuple[Transposition, ...]
+    members: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -74,8 +74,8 @@ class StrongDescentSet:
         n = self.n
         members = tuple(self.members)
         for t in members:
-            if not isinstance(t, Transposition):
-                raise ValueError(f"member {t!r} is not a Transposition")
+            if not isinstance(t, tuple) or len(t) != 2:
+                raise ValueError(f"member {t!r} is not an (a, b) pair")
             a, b = t
             if type(a) is not int or type(b) is not int:
                 raise ValueError(f"member {t!r} has an endpoint that is not an integer")
@@ -89,17 +89,17 @@ class StrongDescentSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[Transposition]:
+    def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.members)
 
     def __contains__(self, t: object) -> bool:
         return t in self.members
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(t.a, t.b) for t in self.members]
+        return list(self.members)
 
     def to_text(self) -> str:
-        return " ".join(f"t({t.a},{t.b})" for t in self.members)
+        return " ".join(f"t({a},{b})" for a, b in self.members)
 
     @classmethod
     def from_text(cls, n: int, r: int, text: str) -> "StrongDescentSet":
@@ -112,7 +112,7 @@ class StrongDescentSet:
         return cls(n, r, tuple(members))
 
     def to_json(self) -> str:
-        payload = {"n": self.n, "r": self.r, "members": [[t.a, t.b] for t in self.members]}
+        payload = {"n": self.n, "r": self.r, "members": [[a, b] for a, b in self.members]}
         return json.dumps(payload, separators=(",", ":"))
 
     @classmethod
@@ -251,8 +251,8 @@ def between_counts(p: Permutation | Sequence[int]) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 # public operations
 
-def length_change(t: Transposition, p: Permutation) -> int:
-    """inv(t_{a,b} p) - inv(p); always odd.
+def length_change(t: tuple[int, int], p: Permutation) -> int:
+    """inv(t_{a,b} p) - inv(p) for the pair t = (a, b); always odd.
 
     Independent slow path used as the oracle for every descent-set
     membership criterion.
@@ -319,7 +319,7 @@ def _rth_pairs(w: Sequence[int], r: int) -> list[tuple[int, int]]:
     return _down_pairs_word(w) if r == 1 else _descent_pairs_word(w, r)
 
 
-def _sorted_members(p: Permutation, r: int) -> tuple[Transposition, ...]:
+def _sorted_members(p: Permutation, r: int) -> tuple[tuple[int, int], ...]:
     """The r-th strong descents of p in (a, b) order, from the scan of p^-1.
 
     The scan of p^-1 emits (x, y) with y at position a = p(y) and x at a
@@ -332,8 +332,7 @@ def _sorted_members(p: Permutation, r: int) -> tuple[Transposition, ...]:
     for i, v in enumerate(vals, 1):
         inv[v - 1] = i
     at = (0, *vals)  # at[x] = p(x)
-    new = tuple.__new__
-    return tuple([new(Transposition, (at[y], at[x])) for x, y in _rth_pairs(inv, r)])
+    return tuple([(at[y], at[x]) for x, y in _rth_pairs(inv, r)])
 
 
 def _check_order(n: int, r: int) -> None:

@@ -226,11 +226,12 @@ def from_one_line(values: Sequence[int]) -> Permutation:
     return Permutation(tuple(values))
 
 
-def apply_transposition_left(t: Transposition, p: Permutation) -> Permutation:
-    """t_{a,b} * p: the one-line notation of p with values a and b exchanged."""
-    if t.b > p.n:
+def apply_transposition_left(t: tuple[int, int], p: Permutation) -> Permutation:
+    """t_{a,b} * p for a pair t = (a, b): p with values a and b exchanged."""
+    a, b = t
+    if not (1 <= a <= p.n and 1 <= b <= p.n):
         raise ValueError(f"transposition {t} does not fit in S_{p.n}")
-    return p.swap_values(t.a, t.b)
+    return p.swap_values(a, b)
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import importlib
+import itertools
 import math
 import time
 from collections import deque
@@ -41,11 +42,10 @@ from fractions import Fraction
 from typing import Callable, Iterator, TypeVar
 
 from . import bruhat, extremal, graphs, stats
-from ._parallel import block_sizes, map_blocks, process_pool, resolve_jobs, submit_blocks
+from ._parallel import block_sizes, map_blocks, process_pool, resolve_jobs
 from .reconstruct import is_realizable, reconstruct
 from .perm import (
     Permutation,
-    Transposition,
     _check_degree_cap,
     identity,
     iter_permutations,
@@ -140,6 +140,8 @@ def _exhaustive(opts: VerifyOptions, n: int, stat: str) -> stats.ExhaustiveScan:
 
 # the tags of _draw's streams, one per consumer
 _INVERSE_TAG, _INCREMENT_TAG, _RECONSTRUCTION_TAG, _SWEEP_TAG = 101, 102, 103, 500
+# the most samples per size of the two sampled lemma checks and of reconstruction
+_LEMMA_SAMPLES, _RECONSTRUCTION_SAMPLES = 200, 10_000
 
 
 def _draw(seed: int, tag: int, n: int, count: int, block: int = 0) -> list[Permutation]:
@@ -187,14 +189,13 @@ def check_cover_criterion(opts: VerifyOptions) -> tuple[bool, str]:
     """covered_by/covers_of/is_cover against the inversion-delta oracle."""
     top = min(opts.max_n, 6)
     for n in range(1, top + 1):
-        transpositions = [Transposition(a, b)
-                          for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         for p in iter_permutations(n):
             downs = set()
             ups = set()
-            for t in transpositions:
-                q = p.swap_values(t.a, t.b)
-                delta = q.inversion_number() - p.inversion_number()
+            base = p.inversion_number()
+            for a, b in itertools.combinations(range(1, n + 1), 2):
+                q = p.swap_values(a, b)
+                delta = q.inversion_number() - base
                 if delta == -1:
                     downs.add(q.values)
                 elif delta == 1:
@@ -217,19 +218,17 @@ def check_descent_window(opts: VerifyOptions) -> tuple[bool, str]:
     window 0 > inv(t p) - inv(p) > -2r, all r."""
     top = min(opts.max_n, 7)
     for n in range(2, top + 1):
-        transpositions = [Transposition(a, b)
-                          for a in range(1, n + 1) for b in range(a + 1, n + 1)]
         for p in iter_permutations(n):
             sets = [set(bruhat.strong_descent_set(p, r).pairs()) for r in range(1, n)]
             base = p.inversion_number()
-            for t in transpositions:
-                delta = p.swap_values(t.a, t.b).inversion_number() - base
+            for a, b in itertools.combinations(range(1, n + 1), 2):
+                delta = p.swap_values(a, b).inversion_number() - base
                 if delta % 2 == 0:
-                    return _fail(f"length change {delta} of {t} on {p} is even")
+                    return _fail(f"length change {delta} of t({a},{b}) on {p} is even")
                 for r in range(1, n):
                     window = 0 > delta > -2 * r
-                    if ((t.a, t.b) in sets[r - 1]) != window:
-                        return _fail(f"t({t.a},{t.b}) on {p} at r={r}: "
+                    if ((a, b) in sets[r - 1]) != window:
+                        return _fail(f"t({a},{b}) on {p} at r={r}: "
                                      f"membership disagrees with length window")
     return _ok(f"all of S_n for n<={top}, all r")
 
@@ -254,7 +253,7 @@ def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
                 if via_inverse != direct:
                     return _fail(f"membership bijection fails for {p} at r={r}")
     for n in opts.sampled_n:
-        for p in _draw(opts.seed, _INVERSE_TAG, n, min(opts.samples, 200)):
+        for p in _draw(opts.seed, _INVERSE_TAG, n, min(opts.samples, _LEMMA_SAMPLES)):
             q = p.inverse()
             for r in (1, 2, n // 2, n - 1):
                 if bruhat.rth_down_degree(p, r) != bruhat.rth_down_degree(q, r):
@@ -430,7 +429,8 @@ def check_total_graph_union(opts: VerifyOptions) -> tuple[bool, str]:
     for n in range(2, top + 1):
         for p in iter_permutations(n):
             down = set(graphs.strong_descent_graph(p, 1).edges())
-            up = set(graphs.up_edge_graph(p).edges())
+            up_graph = graphs.up_edge_graph(p)
+            up = set(up_graph.edges())
             tot = graphs.total_degree_graph(p)
             if down & up:
                 return _fail(f"down and up edges overlap for {p}")
@@ -438,7 +438,7 @@ def check_total_graph_union(opts: VerifyOptions) -> tuple[bool, str]:
                 return _fail(f"total graph of {p} is not the union")
             if tot.edge_count != bruhat.total_degree(p).total:
                 return _fail(f"edge count of the total graph of {p} is off")
-            if not graphs.up_edge_graph(p).is_triangle_free():
+            if not up_graph.is_triangle_free():
                 return _fail(f"up-edge graph of {p} has a triangle")
     return _ok(f"all of S_n for n<={top}")
 
@@ -469,13 +469,14 @@ def check_expectation_asymptotics(opts: VerifyOptions) -> tuple[bool, str]:
 
 def check_monte_carlo(opts: VerifyOptions) -> tuple[bool, str]:
     """Sampled means sit within four standard errors of the exact value."""
+    samples = max(opts.samples, 1000)
     for n in (10, 50):
-        mean, se = stats.monte_carlo_mean(n, "down", samples=max(opts.samples, 1000), seed=opts.seed)
+        mean, se = stats.monte_carlo_mean(n, "down", samples=samples, seed=opts.seed)
         exact = float(stats.expected_down_degree(n))
         if abs(mean - exact) > 4 * se:
             return _fail(f"sample mean {mean:.4f} vs exact {exact:.4f} at n={n} "
                          f"(se {se:.4f})")
-    return _ok(f"n in {{10, 50}}, {max(opts.samples, 1000)} samples")
+    return _ok(f"n in {{10, 50}}, {samples} samples")
 
 
 def check_increment_lemma(opts: VerifyOptions) -> tuple[bool, str]:
@@ -489,7 +490,7 @@ def check_increment_lemma(opts: VerifyOptions) -> tuple[bool, str]:
     if not stats.check_increment_lemma(Permutation(EXAMPLE_PERM)):
         return _fail("increment identity fails on the worked example")
     for n in opts.sampled_n:
-        for p in _draw(opts.seed, _INCREMENT_TAG, n, min(opts.samples, 200)):
+        for p in _draw(opts.seed, _INCREMENT_TAG, n, min(opts.samples, _LEMMA_SAMPLES)):
             if not stats.check_increment_lemma(p):
                 return _fail(f"increment identity fails for a sample at n={n}")
     return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
@@ -521,7 +522,8 @@ def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
         if not ok:
             return _fail(detail)
     sizes = sorted({n for fn, (n, *_) in _shared_blocks(opts) if fn is _reconstruction_block})
-    return _ok(f"exhaustive n<={top}, {min(opts.samples, 10_000)} samples at n in {sizes}")
+    return _ok(f"exhaustive n<={top}, {min(opts.samples, _RECONSTRUCTION_SAMPLES)} samples "
+               f"at n in {sizes}")
 
 
 def _reconstruction_block(args: tuple[int, int, int, int]) -> tuple[bool, str]:
@@ -578,7 +580,7 @@ def check_worked_examples(opts: VerifyOptions) -> tuple[bool, str]:
     expected2 = tuple(sorted(EXAMPLE_DESCENTS_R1 + EXAMPLE_DESCENTS_R2_EXTRA))
     if got2 != expected2:
         return _fail("r=2 descent set of the worked example is wrong")
-    delta = bruhat.length_change(Transposition(4, 9), p)
+    delta = bruhat.length_change((4, 9), p)
     if delta != -5 or (4, 9) in got2:
         return _fail("t(4,9) must fall outside the r=2 window (length drop 5)")
     rebuilt = reconstruct(9, bruhat.strong_descent_set(p, 1))
@@ -709,7 +711,7 @@ def _shared_blocks(opts: VerifyOptions) -> list[tuple[Callable, tuple[int, int, 
     size order, then block order."""
     kinds = ((_structural_block, opts.sampled_n, opts.samples),
              (_reconstruction_block, sorted(set(opts.sampled_n) | {20, 50, 100}),
-              min(opts.samples, 10_000)))
+              min(opts.samples, _RECONSTRUCTION_SAMPLES)))
     return [(fn, (n, opts.seed, index, take)) for fn, sizes, samples in kinds
             for n in sizes for index, take in enumerate(block_sizes(samples, 2000))]
 
@@ -740,7 +742,7 @@ def _blocks_in_flight(opts: VerifyOptions) -> Iterator[None]:
     # the workers share the parent's copy instead of each importing its own
     importlib.import_module("numpy.random")
     with process_pool(min(jobs, len(tasks))) as pool:
-        opts._memo["blocks"] = dict(zip(tasks, submit_blocks(pool, tasks)))
+        opts._memo["blocks"] = {task: pool.submit(*task) for task in tasks}
         yield
 
 

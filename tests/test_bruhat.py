@@ -31,6 +31,7 @@ from bruhat_degrees.perm import (
     longest_element,
     random_permutation,
 )
+from bruhat_degrees.reconstruct import reconstruct
 from conftest import all_perms
 
 EXAMPLE = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
@@ -129,7 +130,7 @@ class TestStrongDescentSets:
         descents = strong_descent_set(EXAMPLE, 2)
         assert descents.pairs() == sorted(EXAMPLE_R1 + EXAMPLE_R2_EXTRA)
         assert len(descents) == 19
-        assert length_change(Transposition(4, 9), EXAMPLE) == -5
+        assert length_change((4, 9), EXAMPLE) == length_change(Transposition(4, 9), EXAMPLE) == -5
         assert (4, 9) not in descents.pairs()
         for a, b in EXAMPLE_R2_EXTRA:
             assert 0 > length_change(Transposition(a, b), EXAMPLE) > -4
@@ -296,13 +297,17 @@ class TestInverseRoute:
             assert list(_sorted_members(p, r)) == sorted(_rth_pairs(p.values, r)), r
 
     def test_members_strictly_increasing_and_kept(self):
-        # members in strict (a, b) order are stored as given, not re-sorted
+        # members in strict (a, b) order are stored as given, not re-sorted;
+        # the scan's members are plain pairs, equal to Transpositions
         for seed in range(20):
             p = random_permutation(60, seed)
             for r in (1, 2, 30, 59):
                 members = strong_descent_set(p, r).members
                 assert all(s < t for s, t in zip(members, members[1:])), (seed, r)
                 assert StrongDescentSet(60, r, members).members is members
+                assert all(type(t) is tuple for t in members), (seed, r)
+                wrapped = StrongDescentSet(60, r, tuple(Transposition(*t) for t in members))
+                assert wrapped == strong_descent_set(p, r), (seed, r)
 
 
 class TestLengthChange:
@@ -352,11 +357,16 @@ class TestSerialization:
         assert StrongDescentSet.from_text(9, 1, shuffled) == descents
         assert StrongDescentSet.from_text(9, 1, shuffled).pairs() == EXAMPLE_R1
 
-    def test_plain_tuple_member_is_rejected(self):
-        with pytest.raises(ValueError, match=r"member \(1, 2\) is not a Transposition"):
-            StrongDescentSet(3, 1, ((1, 2),))
-        with pytest.raises(ValueError, match="is not a Transposition"):
-            StrongDescentSet(3, 1, (Transposition(1, 2), [2, 3]))
+    def test_plain_tuple_member_is_accepted(self):
+        plain = StrongDescentSet(3, 1, ((1, 2),))
+        assert plain == StrongDescentSet(3, 1, (Transposition(1, 2),))
+        assert plain.to_json() == StrongDescentSet(3, 1, (Transposition(1, 2),)).to_json()
+
+    @pytest.mark.parametrize("member", [[2, 3], (1, 2, 3), 1])
+    def test_member_that_is_not_a_pair_is_rejected(self, member):
+        with pytest.raises(ValueError) as err:
+            StrongDescentSet(3, 1, (Transposition(1, 2), member))
+        assert str(err.value) == f"member {member!r} is not an (a, b) pair"
 
     def test_member_out_of_range(self):
         with pytest.raises(ValueError):
@@ -369,6 +379,21 @@ class TestSerialization:
         with pytest.raises(ValueError) as err:
             StrongDescentSet(3, 1, (Transposition(1, 3), member))
         assert str(err.value) == f"member {member!r} has an endpoint that is not an integer"
+
+    @pytest.mark.parametrize("n,r", [(9, 1), (9, 2), (9, 4), (9, 8),
+                                     (100, 1), (100, 2), (100, 50), (100, 99)])
+    def test_parsed_sets_serialize_like_scanned_ones(self, n, r):
+        # parsed sets hold Transpositions, scanned ones plain pairs
+        p = EXAMPLE if n == 9 else random_permutation(n, random.Random(r))
+        scanned = strong_descent_set(p, r)
+        parsed = [StrongDescentSet.from_text(n, r, scanned.to_text()),
+                  StrongDescentSet.from_json(scanned.to_json())]
+        for descents in parsed:
+            assert descents == scanned
+            assert descents.to_text() == scanned.to_text()
+            assert descents.to_json() == scanned.to_json()
+        if r == 1:
+            assert [reconstruct(n, descents) for descents in parsed] == [p, p]
 
     def test_bad_text_token(self):
         with pytest.raises(ValueError):

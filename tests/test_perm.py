@@ -121,6 +121,13 @@ class TestGroupOps:
         with pytest.raises(ValueError):
             apply_transposition_left(Transposition(2, 4), from_one_line([2, 1, 3]))
 
+    @pytest.mark.parametrize("t", [(1, 10), (10, 1), (0, 2)])
+    def test_plain_pair_outside_s_n_refused(self, t):
+        p = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
+        with pytest.raises(ValueError) as err:
+            apply_transposition_left(t, p)
+        assert str(err.value) == f"transposition {t} does not fit in S_9"
+
     @given(perms, st.data())
     def test_transposition_involution(self, p, data):
         if p.n < 2:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -22,10 +23,16 @@ from bruhat_degrees.stats import (
     triple_sum_expectation,
 )
 from bruhat_degrees import bruhat, stats
-from bruhat_degrees._parallel import block_sizes, submit_blocks
+from bruhat_degrees._parallel import block_sizes, map_blocks
 from bruhat_degrees.bruhat import down_degree, up_degree
 from bruhat_degrees.perm import Permutation, from_one_line, random_permutation
 from conftest import all_perms
+
+
+def _sleep_less_later(block):
+    index, count = block
+    time.sleep(0.05 * (count - index))
+    return index
 
 
 class TestHarmonic:
@@ -276,17 +283,10 @@ class TestMonteCarlo:
     def test_block_sizes(self, total, size, expected):
         assert block_sizes(total, size) == expected
 
-    def test_submit_blocks_in_task_order(self):
-        submitted = []
-
-        class Recorder:  # a pool that records each submit and runs nothing
-            def submit(self, fn, block):
-                submitted.append(block)
-                return block
-
-        tasks = [(abs, block) for block in (1, 3, -5, 2, -3)]
-        assert submit_blocks(Recorder(), tasks) == [1, 3, -5, 2, -3]
-        assert submitted == [1, 3, -5, 2, -3]
+    def test_map_blocks_returns_block_order(self):
+        # the later a block, the sooner it finishes; results keep block order
+        blocks = [(index, 4) for index in range(4)]
+        assert map_blocks(_sleep_less_later, blocks, jobs=2) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("call,message", [
         (lambda: distribution(3, jobs=0), "--jobs must be >= 1, got 0"),
