@@ -34,10 +34,9 @@ import json
 from bisect import insort
 from dataclasses import dataclass
 from operator import lt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .perm import (Permutation, Transposition, _check_degree_cap, _parse_int,
-                   apply_transposition_left)
+from .perm import Permutation, _check_degree_cap, _parse_int, apply_transposition_left
 
 
 @dataclass(frozen=True)
@@ -56,10 +55,11 @@ class DegreeProfile:
 class StrongDescentSet:
     """The r-th strong descent set of a permutation of degree n.
 
-    ``members`` holds (a, b) int pairs (a ``Transposition`` is one), sorted
-    and free of repeats, so that serialized output is deterministic.
+    ``members`` holds (a, b) int pairs, a < b (a ``Transposition`` is one),
+    sorted and free of repeats, so that serialized output is deterministic.
     ``strong_descent_set`` builds it in that order; members given in any
-    other order (user text or JSON) are sorted and deduplicated on entry.
+    other order are sorted and deduplicated on entry.  This is the only check
+    of a member: the parsers and ``is_realizable`` just orient their pairs.
     """
 
     n: int
@@ -108,8 +108,8 @@ class StrongDescentSet:
             if not (token.startswith("t(") and token.endswith(")")):
                 raise ValueError(f"bad transposition token {token!r}")
             a, b = (_parse_int(x) for x in token[2:-1].split(","))
-            members.append(Transposition.of(a, b))
-        return cls(n, r, tuple(members))
+            members.append((a, b))
+        return cls(n, r, _oriented(members))
 
     def to_json(self) -> str:
         payload = {"n": self.n, "r": self.r, "members": [[a, b] for a, b in self.members]}
@@ -118,7 +118,12 @@ class StrongDescentSet:
     @classmethod
     def from_json(cls, text: str) -> "StrongDescentSet":
         (n, r), pairs = _json_fields(text, ("n", "r"), "members")
-        return cls(n, r, tuple(Transposition.of(a, b) for a, b in pairs))
+        return cls(n, r, _oriented(pairs))
+
+
+def _oriented(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """User-given pairs as plain (min, max) tuples, for StrongDescentSet to check."""
+    return tuple((a, b) if a < b else (b, a) for a, b in pairs)
 
 
 def _json_fields(text: str, ints: tuple[str, ...], pairs: str

@@ -23,7 +23,6 @@ import json
 import sys
 
 from . import bruhat, extremal, graphs, stats
-from ._parallel import resolve_jobs
 from .reconstruct import ValidationFailure, reconstruct
 from .perm import InvalidPermutationError, _parse_int, parse_permutation
 
@@ -37,20 +36,9 @@ def _int(token: str) -> int:
 _int.__name__ = "int"  # argparse names the type in its message: "invalid int value"
 
 
-class _JobsAction(argparse.Action):
-    """Store a --jobs value, rejecting counts below 1 with one line on stderr
-    while parsing, in the words of ``_parallel.resolve_jobs``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        try:
-            resolve_jobs(values)
-        except ValueError as exc:
-            parser.exit(2, f"error: {exc}\n")
-        setattr(namespace, self.dest, values)
-
-
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_int, default=None, action=_JobsAction,
+    """--jobs, any integer: only ``_parallel.resolve_jobs`` refuses a count below 1."""
+    parser.add_argument("--jobs", type=_int, default=None,
                         help="worker processes (default: all cores)")
 
 
@@ -113,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bound on n for the exhaustive checks: the maxima, "
                         "classification and exact-mean checks scan every S_n up to it, the "
                         "others stop at the n their line prints, which can be lower")
-    p.add_argument("--sampled-n", help="comma-separated degrees for the sampled checks")
+    p.add_argument("--sampled-n", help="comma-separated degrees 3 to 2000 for the sampled checks")
     p.add_argument("--samples", type=_int)
     p.add_argument("--seed", type=_int)
     _add_jobs(p)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import bruhat
 from .bruhat import StrongDescentSet
-from .perm import Permutation, Transposition
+from .perm import Permutation
 
 
 class ValidationFailure(ValueError):
@@ -44,12 +44,11 @@ def reconstruct(n: int, descents: StrongDescentSet) -> Permutation:
     return p
 
 
-def is_realizable(n: int, members: Iterable[tuple[int, int] | Transposition]) -> bool:
-    """True iff some permutation in S_n has exactly this strong descent set."""
+def is_realizable(n: int, members: Iterable[tuple[int, int]]) -> bool:
+    """True iff some permutation in S_n has exactly this strong descent set;
+    members are (a, b) pairs in either order, checked by StrongDescentSet."""
     try:
-        candidate = StrongDescentSet(
-            n=n, r=1, members=tuple(Transposition.of(a, b) for a, b in members))
-        reconstruct(n, candidate)
+        reconstruct(n, StrongDescentSet(n=n, r=1, members=bruhat._oriented(members)))
     except ValueError:  # covers ValidationFailure and malformed members
         return False
     return True

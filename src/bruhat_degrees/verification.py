@@ -46,7 +46,6 @@ from ._parallel import block_sizes, map_blocks, process_pool, resolve_jobs
 from .reconstruct import is_realizable, reconstruct
 from .perm import (
     Permutation,
-    _check_degree_cap,
     identity,
     iter_permutations,
     longest_decreasing_subsequence,
@@ -54,6 +53,10 @@ from .perm import (
 )
 
 T = TypeVar("T")
+
+# the largest --sampled-n size: the sweep's tables per sample grow as n^2 (one
+# sample took 2.5 s and 136 MB max RSS at n = 1000, 13.7 s and 451 MB at 2000)
+MAX_SAMPLED_N = 2000
 
 EXAMPLE_PERM = (7, 9, 5, 2, 3, 8, 4, 1, 6)
 EXAMPLE_DESCENTS_R1 = (
@@ -103,14 +106,13 @@ class VerifyOptions:
             raise ValueError(f"--max-n must be >= 2, got {self.max_n}")
         if self.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {self.samples}")
+        sizes = ",".join(map(str, self.sampled_n))
         if any(n < 3 for n in self.sampled_n):
-            raise ValueError("--sampled-n sizes must be >= 3, got "
-                             + ",".join(map(str, self.sampled_n)))
+            raise ValueError(f"--sampled-n sizes must be >= 3, got {sizes}")
         if len(set(self.sampled_n)) < len(self.sampled_n):
-            raise ValueError("--sampled-n sizes must be distinct, got "
-                             + ",".join(map(str, self.sampled_n)))
-        for n in self.sampled_n:
-            _check_degree_cap(n)  # the sweep builds an n x (n + 1) table per sample
+            raise ValueError(f"--sampled-n sizes must be distinct, got {sizes}")
+        if any(n > MAX_SAMPLED_N for n in self.sampled_n):
+            raise ValueError(f"--sampled-n sizes must be <= {MAX_SAMPLED_N}, got {sizes}")
         if self.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.max_n > stats.MAX_EXHAUSTIVE_N:

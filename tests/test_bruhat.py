@@ -383,12 +383,13 @@ class TestSerialization:
     @pytest.mark.parametrize("n,r", [(9, 1), (9, 2), (9, 4), (9, 8),
                                      (100, 1), (100, 2), (100, 50), (100, 99)])
     def test_parsed_sets_serialize_like_scanned_ones(self, n, r):
-        # parsed sets hold Transpositions, scanned ones plain pairs
+        # parsed sets hold plain pairs, as scanned ones do
         p = EXAMPLE if n == 9 else random_permutation(n, random.Random(r))
         scanned = strong_descent_set(p, r)
         parsed = [StrongDescentSet.from_text(n, r, scanned.to_text()),
                   StrongDescentSet.from_json(scanned.to_json())]
         for descents in parsed:
+            assert all(type(m) is tuple for m in descents.members)
             assert descents == scanned
             assert descents.to_text() == scanned.to_text()
             assert descents.to_json() == scanned.to_json()

@@ -16,7 +16,8 @@ from bruhat_degrees import _parallel, bruhat, cli, stats, verification
 from bruhat_degrees._parallel import default_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import build_parser, main
-from bruhat_degrees.perm import MAX_DEGREE, Permutation, Transposition, identity
+from bruhat_degrees.perm import Permutation, Transposition, identity
+from bruhat_degrees.verification import MAX_SAMPLED_N
 
 EXAMPLE_TEXT = "[7,9,5,2,3,8,4,1,6]"
 EXAMPLE_R1_LINE = ("t(1,2) t(1,3) t(1,4) t(2,5) t(3,5) t(4,5) "
@@ -146,6 +147,16 @@ class TestReconstruct:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "reconstruct", "3", str(tmp_path / "nope"))
         assert code == 2
+
+    @pytest.mark.parametrize("a,b", [(10, 1), (3, 3), (0, 2)])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_member_outside_s_n_is_refused_once(self, capsys, tmp_path, form, a, b):
+        # the parsers only orient a pair; StrongDescentSet refuses it, as a plain pair
+        path = tmp_path / "set"
+        path.write_text(f"t({a},{b})" if form == "text"
+                        else f'{{"n":9,"r":1,"members":[[{a},{b}]]}}')
+        assert run_cli(capsys, "reconstruct", "9", str(path)) == (
+            2, "", f"error: member {(min(a, b), max(a, b))} out of range for n=9\n")
 
 
 class TestExtremal:
@@ -528,12 +539,18 @@ class TestJobs:
         ["verify", "--max-n", "2", "--jobs", "0"],
     ])
     def test_below_one_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == f"error: --jobs must be >= 1, got {argv[-1]}\n"
+        assert run_cli_exit(capsys, argv) == (
+            2, "", f"error: --jobs must be >= 1, got {argv[-1]}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "--max-n", "12", "--jobs", "0"], "--max-n 12 exceeds the exhaustive limit 9"),
+        (["distribution", "12", "--jobs", "0"],
+         "n=12 exceeds the exhaustive limit 9; pass a larger limit to override"),
+        (["sample", "8", "--seed", "-1", "--jobs", "0"], "--seed must be >= 0, got -1"),
+    ])
+    def test_refused_after_the_commands_own_rules(self, capsys, argv, message):
+        # only _parallel.resolve_jobs refuses a count, so the CLI keeps the library's order
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_one_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "distribution", "3", "--jobs", "1")
@@ -606,10 +623,12 @@ class TestInputBoundaries:
         assert out == ""
         assert err == f"error: --sampled-n sizes must be >= 3, got {sizes}\n"
 
-    def test_sampled_n_above_the_degree_cap_is_a_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--sampled-n", f"40,{MAX_DEGREE + 1}")
+    def test_sampled_n_above_the_sweep_bound_is_a_usage_error(self, capsys, monkeypatch):
+        # a size the bound let through would run the sweep at n = 2001 for hours
+        monkeypatch.setattr(verification, "run_all", lambda opts: pytest.fail("ran the checks"))
+        code, out, err = run_cli(capsys, "verify", "--sampled-n", f"40,{MAX_SAMPLED_N + 1}")
         assert (code, out) == (2, "")
-        assert err == f"error: degree n={MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}\n"
+        assert err == "error: --sampled-n sizes must be <= 2000, got 40,2001\n"
 
 
 class TestVerifyOptions:
@@ -624,9 +643,9 @@ class TestVerifyOptions:
         (dict(sampled_n=(12, 2, 12)), "--sampled-n sizes must be >= 3, got 12,2,12"),
         (dict(sampled_n=(12, 40, 12), seed=-1), "--sampled-n sizes must be distinct, got 12,40,12"),
         (dict(sampled_n=(1,), seed=-1), "--sampled-n sizes must be >= 3, got 1"),
-        (dict(sampled_n=(2, MAX_DEGREE + 1)), "--sampled-n sizes must be >= 3, got 2,100001"),
-        (dict(sampled_n=(40, MAX_DEGREE + 1), seed=-1),
-         f"degree n={MAX_DEGREE + 1} exceeds the cap {MAX_DEGREE}"),
+        (dict(sampled_n=(2, MAX_SAMPLED_N + 1)), "--sampled-n sizes must be >= 3, got 2,2001"),
+        (dict(sampled_n=(40, MAX_SAMPLED_N + 1), seed=-1),
+         "--sampled-n sizes must be <= 2000, got 40,2001"),
         (dict(seed=-1), "--seed must be >= 0, got -1"),
         (dict(seed=-1, max_n=12), "--seed must be >= 0, got -1"),
         (dict(max_n=12), "--max-n 12 exceeds the exhaustive limit 9"),
@@ -642,7 +661,7 @@ class TestVerifyOptions:
     @pytest.mark.parametrize("fields", [
         dict(max_n=2, sampled_n=(), samples=1, seed=0),
         dict(max_n=stats.MAX_EXHAUSTIVE_N, sampled_n=(3,)),
-        dict(sampled_n=(MAX_DEGREE,)),
+        dict(sampled_n=(MAX_SAMPLED_N,)),
     ])
     def test_boundaries_accepted(self, fields):
         verification.VerifyOptions(**fields)

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -82,6 +83,19 @@ class TestIsRealizable:
 
     def test_out_of_range_members(self):
         assert not is_realizable(3, [(1, 7)])
+        assert not is_realizable(3, [(2, 2)])
+        assert not is_realizable(3, [(2, 0)])
+
+    def test_members_in_either_order(self):
+        assert is_realizable(3, [(2, 1), (3, 2)])  # the descent set of [3,2,1]
+
+    def test_builds_plain_pairs(self, monkeypatch):
+        # the package exports the function reconstruct under the module's name
+        module = importlib.import_module("bruhat_degrees.reconstruct")
+        seen = []
+        monkeypatch.setattr(module, "reconstruct", lambda n, d: seen.append(d))
+        assert is_realizable(3, [(2, 1), Transposition(2, 3)])
+        assert [type(m) for m in seen[0].members] == [tuple, tuple]
 
     def test_matches_reconstruction_over_all_small_sets(self):
         # over S_4, realizable sets are exactly the images of the descent map
