@@ -99,8 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check every theorem, print one line per fact")
     p.add_argument("--max-n", type=_int,
                    help="bound on n for the exhaustive checks: the maxima, "
-                        "classification and exact-mean checks scan every S_n up to it, the "
-                        "others stop at the n their line prints, which can be lower")
+                        "classification and exact-mean checks scan every S_n up to it, and "
+                        "the per-permutation checks share one pass over every S_n up to "
+                        "it or 8, whichever is lower")
     p.add_argument("--sampled-n", help="comma-separated degrees 3 to 2000 for the sampled checks")
     p.add_argument("--samples", type=_int)
     p.add_argument("--seed", type=_int)

@@ -46,10 +46,15 @@ def reconstruct(n: int, descents: StrongDescentSet) -> Permutation:
 
 def is_realizable(n: int, members: Iterable[tuple[int, int]]) -> bool:
     """True iff some permutation in S_n has exactly this strong descent set;
-    members are (a, b) pairs in either order, checked by StrongDescentSet."""
+    members are (a, b) pairs in either order, checked by StrongDescentSet.
+    Anything that is no such pair makes the set unrealizable."""
+    try:  # a member that is no pair, or whose endpoints do not compare, fails to orient
+        descents = StrongDescentSet(n=n, r=1, members=bruhat._oriented(members))
+    except (TypeError, ValueError):
+        return False
     try:
-        reconstruct(n, StrongDescentSet(n=n, r=1, members=bruhat._oriented(members)))
-    except ValueError:  # covers ValidationFailure and malformed members
+        reconstruct(n, descents)
+    except ValidationFailure:
         return False
     return True
 

@@ -11,22 +11,26 @@ there is caught here; the opposing route is always something structurally
 different (inversion-number deltas, breadth-first search, numpy prefix
 sums, brute-force clique search, literal summation).
 
-The sampled parts draw through ``_draw``, which keys each PCG64 stream by
-(seed, tag, n, block) with one tag per consumer, so the samples at one size
-do not depend on the other sizes a run asks for.  Exhaustive scans go
-through ``stats.exhaustive``, which checks its own limit; ``VerifyOptions``
-refuses a --max-n above it before any check runs.
+The per-permutation checks read one exhaustive pass over every S_n with n up
+to min(--max-n, MAX_PASS_N), which computes each ingredient once per
+permutation and makes all their comparisons on it.  The sampled parts draw
+through ``_draw``, which keys each PCG64 stream by (seed, tag, n, block)
+with one tag per consumer, so the samples at one size do not depend on the
+other sizes a run asks for.  The engine's scans go through
+``stats.exhaustive``, which checks its own limit; ``VerifyOptions`` refuses
+a --max-n above it before any check runs.
 
-The sampled structural sweep and the reconstruction samples are computed in
-the blocks that ``_shared_blocks`` lists.  At jobs > 1, ``run_all`` opens one
-process pool before the first check and submits them to it, the sweep first,
-while the main process runs the checks in order; the checks that need the
-blocks wait for their futures, so the timing column bills them the wait, not
-the work.  It is the only pool a run opens: the exhaustive scans and the
-Monte Carlo means, one block each at the sizes verify takes, run in the main
-process.  At one job, and for calls outside ``run_all``, the blocks run when
-first needed, through ``map_blocks``.  Either way the results merge in list
-order, so the report does not depend on --jobs.
+The pass, the sampled structural sweep and the reconstruction samples are
+computed in the blocks that ``_shared_blocks`` lists.  At jobs > 1,
+``run_all`` opens one process pool before the first check and submits them
+to it in order of first need, while the main process runs the checks in
+order; the checks that need the blocks wait for their futures, so the
+timing column bills them the wait, not the work.  It is the only pool a run
+opens: the engine's scans and the Monte Carlo means, one block each at the
+sizes verify takes, run in the main process.  At one job, and for calls
+outside ``run_all``, the blocks run when first needed, through
+``map_blocks``.  Either way the results merge in list order, so the report
+does not depend on --jobs.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import bruhat, extremal, graphs, stats
 from ._parallel import block_sizes, map_blocks, process_pool, resolve_jobs
@@ -50,9 +54,16 @@ from .perm import (
     iter_permutations,
     longest_decreasing_subsequence,
     longest_element,
+    unrank,
 )
 
 T = TypeVar("T")
+
+# the largest n of the per-permutation checks, whatever --max-n says above it:
+# verify --max-n 8 --jobs 2 took 21-27 s on 2 cores, and 290 s with S_9 added
+MAX_PASS_N = 8
+# the most permutations in one shared block, exhaustive or sampled
+_BLOCK = 2000
 
 # the largest --sampled-n size: the sweep's tables per sample grow as n^2 (one
 # sample took 2.5 s and 136 MB max RSS at n = 1000, 13.7 s and 451 MB at 2000)
@@ -90,11 +101,13 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyOptions:
-    """What a verify run examines.  Options that would examine nothing, or
-    that no check can serve, are refused here, so the CLI and library callers
-    get the same one-line errors.  --samples also sizes the reconstruction
-    samples, which run at any --sampled-n.  Frozen, so its memo never goes
-    stale; the memo is no field, so asdict, == and replace ignore it."""
+    """What a verify run examines.  max_n bounds the engine's scans, and the
+    per-permutation checks at min(max_n, MAX_PASS_N).  Options that would
+    examine nothing, or that no check can serve, are refused here, so the CLI
+    and library callers get the same one-line errors.  --samples also sizes
+    the reconstruction samples, which run at any --sampled-n.  Frozen, so its
+    memo never goes stale; the memo is no field, so asdict, == and replace
+    ignore it."""
     max_n: int = 6
     sampled_n: tuple[int, ...] = (40,)
     samples: int = 1000
@@ -162,12 +175,189 @@ def _ok(detail: str = "") -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
+# the exhaustive pass (shared by every per-permutation check)
+
+def _top(opts: VerifyOptions) -> int:
+    """The largest n of the per-permutation checks."""
+    return min(opts.max_n, MAX_PASS_N)
+
+
+def _exhaustive_block(args: tuple[int, int, int, int]) -> tuple[dict[str, str], list[int]]:
+    """Every comparison of the per-permutation checks on count permutations
+    of S_n, lexicographic ranks index * _BLOCK on: the first failure of each
+    check key that fails, and each permutation's r = 1 descent set packed
+    into an int, one bit per member, for the injectivity check.  Each
+    ingredient is computed once per permutation; the checks that start at
+    n = 2 skip S_1."""
+    n, _, index, count = args
+    failures: dict[str, str] = {}
+    record = failures.setdefault  # the first failure of a key stays
+    orders = range(1, max(n, 2))  # r = 1 exists in S_1 too
+    turan_caps = [graphs.turan_number(r + 1, n) for r in range(1, n)]
+    swaps = list(itertools.combinations(range(1, n + 1), 2))
+    packed = []
+    for p in itertools.islice(iter_permutations(n), index * _BLOCK, index * _BLOCK + count):
+        base = p.inversion_number()
+        sets = [bruhat.strong_descent_set(p, r) for r in orders]
+        members = [set(s.pairs()) for s in sets]
+        descent_graphs = [graphs.strong_descent_graph(p, r) for r in orders]
+        up = bruhat.up_degree(p)
+        packed.append(sum(1 << (a * n + b) for a, b in sets[0].members))
+
+        downs, ups = set(), set()
+        for a, b in swaps:  # none in S_1, so the window's comparisons skip it too
+            q = p.swap_values(a, b)
+            delta = q.inversion_number() - base
+            if delta == -1:
+                downs.add(q.values)
+            elif delta == 1:
+                ups.add(q.values)
+            if bruhat.is_cover(p, q) != (delta == -1):
+                record("cover", f"is_cover({p}, {q}) disagrees with length drop {delta}")
+            if delta % 2 == 0:
+                record("window", f"length change {delta} of t({a},{b}) on {p} is even")
+            for r in range(1, n):
+                if ((a, b) in members[r - 1]) != (0 > delta > -2 * r):
+                    record("window", f"t({a},{b}) on {p} at r={r}: "
+                                     f"membership disagrees with length window")
+        if {q.values for q in bruhat.covered_by(p)} != downs:
+            record("cover", f"covered_by({p}) wrong")
+        if {q.values for q in bruhat.covers_of(p)} != ups:
+            record("cover", f"covers_of({p}) wrong")
+        if bruhat.down_degree(p) != len(downs) or up != len(ups):
+            record("cover", f"degrees of {p} disagree with cover counts")
+        if len(sets[0]) != len(downs):
+            record("cover", f"descent set size of {p} disagrees with cover count")
+        if up != bruhat.down_degree(Permutation(tuple(n + 1 - v for v in p.values))):
+            record("complement", f"complement symmetry fails for {p}")
+        if reconstruct(n, sets[0]) != p:
+            record("reconstruction", f"round trip fails for {p}")
+        comps = descent_graphs[0].component_count()
+        gd = graphs.global_descent_count(p.reverse_positions())
+        if comps != gd + 1:
+            record("components", f"{p}: {comps} components vs {gd} global descents")
+        if n == 1:
+            continue
+
+        for r in orders:
+            via_inverse = sets[r - 1].pairs()
+            direct = sorted(bruhat._rth_pairs(p.values, r))
+            if len(via_inverse) != len(direct):
+                record("inverse", f"degree mismatch for {p} at r={r}")
+            if via_inverse != direct:
+                record("inverse", f"membership bijection fails for {p} at r={r}")
+            if r > 1 and not members[r - 2] <= members[r - 1]:
+                record("monotonicity", f"descents of {p} shrink from r={r - 1} to r={r}")
+            if descent_graphs[r - 1].has_clique(r + 2):
+                record("clique_free", f"K_{r + 2} inside the r={r} descent graph of {p}")
+            degree = bruhat.rth_down_degree(p, r)
+            if degree > turan_caps[r - 1]:
+                record("turan_bound", f"degree above the Turan bound for {p}, r={r}")
+        if degree != base:  # the degree at r = n - 1
+            record("top_order", f"top-order degree of {p} is not its inversion count")
+        if not descent_graphs[0].is_triangle_free():
+            record("triangle_free", f"triangle in the descent graph of {p}")
+        total = graphs.total_degree_graph(p)
+        if total.min_degree() > n // 2 + 1:
+            record("min_degree", f"all vertices of the total graph of {p} have high degree")
+        up_graph = graphs.up_edge_graph(p)
+        down, up_edges = set(descent_graphs[0].edges()), set(up_graph.edges())
+        if down & up_edges:
+            record("union", f"down and up edges overlap for {p}")
+        if set(total.edges()) != down | up_edges:
+            record("union", f"total graph of {p} is not the union")
+        if total.edge_count != bruhat.total_degree(p).total:
+            record("union", f"edge count of the total graph of {p} is off")
+        if not up_graph.is_triangle_free():
+            record("union", f"up-edge graph of {p} has a triangle")
+        if not stats.check_increment_lemma(p):
+            record("increment", f"increment identity fails for {p}")
+    return failures, packed
+
+
+def _exhaustive_pass(opts: VerifyOptions) -> dict[str, str]:
+    """The first failure of each per-permutation check that fails, over
+    every S_n up to _top(opts), once per run: the blocks merge in list order,
+    so a check reports the first failing permutation in lexicographic order,
+    n by n."""
+    def merge() -> dict[str, str]:
+        blocks = [block for fn, block in _shared_blocks(opts) if fn is _exhaustive_block]
+        parts = _block_results(opts, _exhaustive_block)
+        merged = _first_failures(failures for failures, _ in parts)
+        seen: dict[tuple[int, int], int] = {}  # (n, packed set) -> rank
+        for (n, _, index, _), (_, packed) in zip(blocks, parts):
+            for rank, key in enumerate(packed, index * _BLOCK):
+                if (n, key) in seen:
+                    merged["injectivity"] = (
+                        f"{unrank(n, seen[n, key])} and {unrank(n, rank)} share a descent set")
+                    return merged
+                seen[n, key] = rank
+        return merged
+
+    return _per_run(opts, "pass", merge)
+
+
+def _passed(opts: VerifyOptions, key: str, scope: str = "", swept: bool = False
+            ) -> tuple[bool, str]:
+    """The exhaustive pass's verdict for key, followed for a structural
+    lemma (swept) by the shared sweep's."""
+    if key in _exhaustive_pass(opts):
+        return _fail(_exhaustive_pass(opts)[key])
+    if not swept:
+        return _ok(f"all of S_n for n<={_top(opts)}{scope}")
+    ok, detail = _structural_samples(opts)[key]
+    if not ok:
+        return _fail(detail)
+    return _ok(f"exhaustive n<={_top(opts)}{scope}, sampled at n in {list(opts.sampled_n)}")
+
+
+def _decided_by_pass(key: str, fact: str, scope: str = "", swept: bool = False
+                     ) -> Callable[[VerifyOptions], tuple[bool, str]]:
+    """The check of one per-permutation fact, whose verdict _passed gives."""
+    check = functools.partial(_passed, key=key, scope=scope, swept=swept)
+    check.__doc__ = fact
+    return check
+
+
+# ---------------------------------------------------------------------------
 # individual checks (each returns (passed, detail))
+
+# the checks that the pass decides, alone or with the sampled sweep (swept)
+check_cover_criterion = _decided_by_pass(
+    "cover", "covered_by/covers_of/is_cover against the inversion-delta oracle.")
+check_descent_window = _decided_by_pass(
+    "window", "Membership in the r-th strong descent set against the inversion window "
+              "0 > inv(t p) - inv(p) > -2r, all r.", ", all r")
+check_descent_monotonicity = _decided_by_pass(
+    "monotonicity", "The r-th strong descent sets grow with r.")
+check_up_down_complement = _decided_by_pass(
+    "complement", "up_degree(p) equals down_degree of p with values complemented "
+                  "(left multiplication by the reversal).")
+check_triangle_free = _decided_by_pass(
+    "triangle_free", "Strong descent graphs contain no triangle.", swept=True)
+check_clique_free = _decided_by_pass(
+    "clique_free", "r-th strong descent graphs contain no complete subgraph on r+2 vertices.",
+    " (all r)", swept=True)
+check_top_order_is_inversions = _decided_by_pass(
+    "top_order", "The (n-1)-th down degree is the inversion number.", swept=True)
+check_min_degree_bound = _decided_by_pass(
+    "min_degree", "The total-degree graph has a vertex of degree at most floor(n/2)+1.",
+    swept=True)
+check_total_graph_union = _decided_by_pass(
+    "union", "The total-degree graph is the edge-disjoint union of the descent graph and "
+             "the up-edge graph, each triangle-free, and its edge count is the total degree.")
+check_injectivity = _decided_by_pass(
+    "injectivity", "No two permutations share a strong descent set.")
+# the offset of 1 was calibrated by exhaustive comparison on S_3..S_5 (the
+# identity in S_3 gives 3 components against 2 global descents)
+check_components_vs_global_descents = _decided_by_pass(
+    "components", "Components of the descent graph = global descents of the reversed word + 1.")
+
 
 def check_length_is_inversion_count(opts: VerifyOptions) -> tuple[bool, str]:
     """Breadth-first search over adjacent-transposition words gives the same
     length as the inversion count."""
-    top = min(opts.max_n, 5)
+    top = _top(opts)
     for n in range(1, top + 1):
         start = tuple(range(1, n + 1))
         dist = {start: 0}
@@ -187,54 +377,6 @@ def check_length_is_inversion_count(opts: VerifyOptions) -> tuple[bool, str]:
     return _ok(f"all of S_n for n<={top}")
 
 
-def check_cover_criterion(opts: VerifyOptions) -> tuple[bool, str]:
-    """covered_by/covers_of/is_cover against the inversion-delta oracle."""
-    top = min(opts.max_n, 6)
-    for n in range(1, top + 1):
-        for p in iter_permutations(n):
-            downs = set()
-            ups = set()
-            base = p.inversion_number()
-            for a, b in itertools.combinations(range(1, n + 1), 2):
-                q = p.swap_values(a, b)
-                delta = q.inversion_number() - base
-                if delta == -1:
-                    downs.add(q.values)
-                elif delta == 1:
-                    ups.add(q.values)
-                if bruhat.is_cover(p, q) != (delta == -1):
-                    return _fail(f"is_cover({p}, {q}) disagrees with length drop {delta}")
-            if {q.values for q in bruhat.covered_by(p)} != downs:
-                return _fail(f"covered_by({p}) wrong")
-            if {q.values for q in bruhat.covers_of(p)} != ups:
-                return _fail(f"covers_of({p}) wrong")
-            if bruhat.down_degree(p) != len(downs) or bruhat.up_degree(p) != len(ups):
-                return _fail(f"degrees of {p} disagree with cover counts")
-            if len(bruhat.strong_descent_set(p, 1)) != len(downs):
-                return _fail(f"descent set size of {p} disagrees with cover count")
-    return _ok(f"all of S_n for n<={top}")
-
-
-def check_descent_window(opts: VerifyOptions) -> tuple[bool, str]:
-    """Membership in the r-th strong descent set against the inversion
-    window 0 > inv(t p) - inv(p) > -2r, all r."""
-    top = min(opts.max_n, 7)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            sets = [set(bruhat.strong_descent_set(p, r).pairs()) for r in range(1, n)]
-            base = p.inversion_number()
-            for a, b in itertools.combinations(range(1, n + 1), 2):
-                delta = p.swap_values(a, b).inversion_number() - base
-                if delta % 2 == 0:
-                    return _fail(f"length change {delta} of t({a},{b}) on {p} is even")
-                for r in range(1, n):
-                    window = 0 > delta > -2 * r
-                    if ((a, b) in sets[r - 1]) != window:
-                        return _fail(f"t({a},{b}) on {p} at r={r}: "
-                                     f"membership disagrees with length window")
-    return _ok(f"all of S_n for n<={top}, all r")
-
-
 def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
     """d^(r) of p equals d^(r) of p^-1, with the membership bijection
     t_{a,b} <-> t_{pos(a),pos(b)}.
@@ -244,37 +386,15 @@ def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
     scan of p itself.  Comparing it with the scan of p^-1, mapped through
     the bijection once more, would give back that scan whatever it held.
     """
-    top = min(opts.max_n, 6)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            for r in range(1, n):
-                via_inverse = bruhat.strong_descent_set(p, r).pairs()
-                direct = sorted(bruhat._rth_pairs(p.values, r))
-                if len(via_inverse) != len(direct):
-                    return _fail(f"degree mismatch for {p} at r={r}")
-                if via_inverse != direct:
-                    return _fail(f"membership bijection fails for {p} at r={r}")
+    if "inverse" in _exhaustive_pass(opts):
+        return _fail(_exhaustive_pass(opts)["inverse"])
     for n in opts.sampled_n:
         for p in _draw(opts.seed, _INVERSE_TAG, n, min(opts.samples, _LEMMA_SAMPLES)):
             q = p.inverse()
             for r in (1, 2, n // 2, n - 1):
                 if bruhat.rth_down_degree(p, r) != bruhat.rth_down_degree(q, r):
                     return _fail(f"degree mismatch for a sample at n={n}, r={r}")
-    return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
-
-
-def check_descent_monotonicity(opts: VerifyOptions) -> tuple[bool, str]:
-    """The r-th strong descent sets grow with r."""
-    top = min(opts.max_n, 6)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            prev: set[tuple[int, int]] = set()
-            for r in range(1, n):
-                cur = set(bruhat.strong_descent_set(p, r).pairs())
-                if not prev <= cur:
-                    return _fail(f"descents of {p} shrink from r={r - 1} to r={r}")
-                prev = cur
-    return _ok(f"all of S_n for n<={top}")
+    return _ok(f"exhaustive n<={_top(opts)}, sampled at n in {list(opts.sampled_n)}")
 
 
 def check_boundary_degrees(opts: VerifyOptions) -> tuple[bool, str]:
@@ -288,66 +408,17 @@ def check_boundary_degrees(opts: VerifyOptions) -> tuple[bool, str]:
     return _ok(f"n<={opts.max_n}")
 
 
-def check_up_down_complement(opts: VerifyOptions) -> tuple[bool, str]:
-    """up_degree(p) equals down_degree of p with values complemented
-    (left multiplication by the reversal)."""
-    top = min(opts.max_n, 6)
-    for n in range(1, top + 1):
-        for p in iter_permutations(n):
-            comp = Permutation(tuple(n + 1 - v for v in p.values))
-            if bruhat.up_degree(p) != bruhat.down_degree(comp):
-                return _fail(f"complement symmetry fails for {p}")
-    return _ok(f"all of S_n for n<={top}")
-
-
-def check_triangle_free(opts: VerifyOptions) -> tuple[bool, str]:
-    """Strong descent graphs contain no triangle."""
-    top = min(opts.max_n, 7)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            if not graphs.strong_descent_graph(p, 1).is_triangle_free():
-                return _fail(f"triangle in the descent graph of {p}")
-    return _swept(opts, "triangle_free", top)
-
-
-def check_clique_free(opts: VerifyOptions) -> tuple[bool, str]:
-    """r-th strong descent graphs contain no complete subgraph on r+2
-    vertices."""
-    top = min(opts.max_n, 6)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            for r in range(1, n):
-                if graphs.strong_descent_graph(p, r).has_clique(r + 2):
-                    return _fail(f"K_{r + 2} inside the r={r} descent graph of {p}")
-    return _swept(opts, "clique_free", top, scope=" (all r)")
-
-
 def check_turan_bound(opts: VerifyOptions) -> tuple[bool, str]:
     """d^(r) never exceeds the Turan number t_{r+1}(n), which never exceeds
     C(r+1,2) (n/(r+1))^2."""
-    top = min(opts.max_n, 6)
-    for n in range(2, top + 1):
+    for n in range(2, _top(opts) + 1):
         for r in range(1, n):
             t_num = graphs.turan_number(r + 1, n)
             if t_num != graphs.turan_graph(r + 1, n).edge_count:
                 return _fail(f"Turan edge count mismatch at r={r}, n={n}")
             if t_num > math.comb(r + 1, 2) * Fraction(n, r + 1) ** 2:
                 return _fail(f"Turan number above the quadratic bound at r={r}, n={n}")
-        for p in iter_permutations(n):
-            for r in range(1, n):
-                if bruhat.rth_down_degree(p, r) > graphs.turan_number(r + 1, n):
-                    return _fail(f"degree above the Turan bound for {p}, r={r}")
-    return _swept(opts, "turan_bound", top)
-
-
-def check_top_order_is_inversions(opts: VerifyOptions) -> tuple[bool, str]:
-    """The (n-1)-th down degree is the inversion number."""
-    top = min(opts.max_n, 6)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            if bruhat.rth_down_degree(p, n - 1) != p.inversion_number():
-                return _fail(f"top-order degree of {p} is not its inversion count")
-    return _swept(opts, "top_order", top)
+    return _passed(opts, "turan_bound", swept=True)
 
 
 def check_max_down_degree(opts: VerifyOptions) -> tuple[bool, str]:
@@ -413,38 +484,6 @@ def check_extremal_total_classification(opts: VerifyOptions) -> tuple[bool, str]
     return _ok(f"2<=n<={opts.max_n}")
 
 
-def check_min_degree_bound(opts: VerifyOptions) -> tuple[bool, str]:
-    """The total-degree graph has a vertex of degree at most floor(n/2)+1."""
-    top = min(opts.max_n, 7)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            if graphs.total_degree_graph(p).min_degree() > n // 2 + 1:
-                return _fail(f"all vertices of the total graph of {p} have high degree")
-    return _swept(opts, "min_degree", top)
-
-
-def check_total_graph_union(opts: VerifyOptions) -> tuple[bool, str]:
-    """The total-degree graph is the edge-disjoint union of the descent graph
-    and the up-edge graph, each triangle-free, and its edge count is the
-    total degree."""
-    top = min(opts.max_n, 6)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            down = set(graphs.strong_descent_graph(p, 1).edges())
-            up_graph = graphs.up_edge_graph(p)
-            up = set(up_graph.edges())
-            tot = graphs.total_degree_graph(p)
-            if down & up:
-                return _fail(f"down and up edges overlap for {p}")
-            if set(tot.edges()) != down | up:
-                return _fail(f"total graph of {p} is not the union")
-            if tot.edge_count != bruhat.total_degree(p).total:
-                return _fail(f"edge count of the total graph of {p} is off")
-            if not up_graph.is_triangle_free():
-                return _fail(f"up-edge graph of {p} has a triangle")
-    return _ok(f"all of S_n for n<={top}")
-
-
 def check_expectation_identities(opts: VerifyOptions) -> tuple[bool, str]:
     """Triple sum form == closed form (n <= 200); closed form == exhaustive
     mean (small n); expected total degree is twice the expected down degree."""
@@ -484,18 +523,15 @@ def check_monte_carlo(opts: VerifyOptions) -> tuple[bool, str]:
 def check_increment_lemma(opts: VerifyOptions) -> tuple[bool, str]:
     """Down-degree increments under letter insertion equal suffix
     left-to-right maxima."""
-    top = min(opts.max_n, 6)
-    for n in range(2, top + 1):
-        for p in iter_permutations(n):
-            if not stats.check_increment_lemma(p):
-                return _fail(f"increment identity fails for {p}")
+    if "increment" in _exhaustive_pass(opts):
+        return _fail(_exhaustive_pass(opts)["increment"])
     if not stats.check_increment_lemma(Permutation(EXAMPLE_PERM)):
         return _fail("increment identity fails on the worked example")
     for n in opts.sampled_n:
         for p in _draw(opts.seed, _INCREMENT_TAG, n, min(opts.samples, _LEMMA_SAMPLES)):
             if not stats.check_increment_lemma(p):
                 return _fail(f"increment identity fails for a sample at n={n}")
-    return _ok(f"exhaustive n<={top}, sampled at n in {list(opts.sampled_n)}")
+    return _ok(f"exhaustive n<={_top(opts)}, sampled at n in {list(opts.sampled_n)}")
 
 
 def check_ltrm_generating_function(opts: VerifyOptions) -> tuple[bool, str]:
@@ -515,17 +551,14 @@ def check_ltrm_generating_function(opts: VerifyOptions) -> tuple[bool, str]:
 def check_reconstruction(opts: VerifyOptions) -> tuple[bool, str]:
     """Round trip permutation -> descent set -> permutation, exhaustively for
     small n and on samples at the large sizes."""
-    top = min(opts.max_n, 8)
-    for n in range(1, top + 1):
-        for p in iter_permutations(n):
-            if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
-                return _fail(f"round trip fails for {p}")
+    if "reconstruction" in _exhaustive_pass(opts):
+        return _fail(_exhaustive_pass(opts)["reconstruction"])
     for ok, detail in _block_results(opts, _reconstruction_block):
         if not ok:
             return _fail(detail)
     sizes = sorted({n for fn, (n, *_) in _shared_blocks(opts) if fn is _reconstruction_block})
-    return _ok(f"exhaustive n<={top}, {min(opts.samples, _RECONSTRUCTION_SAMPLES)} samples "
-               f"at n in {sizes}")
+    return _ok(f"exhaustive n<={_top(opts)}, {min(opts.samples, _RECONSTRUCTION_SAMPLES)} "
+               f"samples at n in {sizes}")
 
 
 def _reconstruction_block(args: tuple[int, int, int, int]) -> tuple[bool, str]:
@@ -534,36 +567,6 @@ def _reconstruction_block(args: tuple[int, int, int, int]) -> tuple[bool, str]:
         if reconstruct(n, bruhat.strong_descent_set(p, 1)) != p:
             return False, f"round trip fails for a sample at n={n}"
     return True, ""
-
-
-def check_injectivity(opts: VerifyOptions) -> tuple[bool, str]:
-    """No two permutations share a strong descent set."""
-    top = min(opts.max_n, 7)
-    for n in range(1, top + 1):
-        seen: dict[tuple, tuple] = {}
-        for p in iter_permutations(n):
-            key = bruhat.strong_descent_set(p, 1).members
-            if key in seen:
-                return _fail(f"{Permutation(seen[key])} and {p} share a descent set")
-            seen[key] = p.values
-    return _ok(f"all of S_n for n<={top}")
-
-
-def check_components_vs_global_descents(opts: VerifyOptions) -> tuple[bool, str]:
-    """Components of the descent graph = global descents of the reversed
-    word + 1.
-
-    The offset of 1 was calibrated by exhaustive comparison on S_3..S_5
-    (the identity in S_3 gives 3 components against 2 global descents).
-    """
-    top = min(opts.max_n, 7)
-    for n in range(1, top + 1):
-        for p in iter_permutations(n):
-            comps = graphs.strong_descent_graph(p, 1).component_count()
-            gd = graphs.global_descent_count(p.reverse_positions())
-            if comps != gd + 1:
-                return _fail(f"{p}: {comps} components vs {gd} global descents")
-    return _ok(f"all of S_n for n<={top}")
 
 
 def check_worked_examples(opts: VerifyOptions) -> tuple[bool, str]:
@@ -603,17 +606,13 @@ _SWEEP_KEYS = ("triangle_free", "clique_free", "turan_bound", "top_order", "min_
 _SPOT_CHECKS = 5  # samples of each size's first block checked against the descent sets
 
 
-def _structural_block(args: tuple[int, int, int, int]) -> dict[str, tuple[bool, str]]:
+def _structural_block(args: tuple[int, int, int, int]) -> dict[str, str]:
     import numpy as np
 
     n, seed, index, count = args
     turan_caps = [graphs.turan_number(r + 1, n) for r in range(1, n)]
-    results = {key: (True, "") for key in _SWEEP_KEYS}
-
-    def record(key: str, detail: str) -> None:
-        if results[key][0]:
-            results[key] = (False, detail)
-
+    failures: dict[str, str] = {}
+    record = failures.setdefault  # the first failure of a key stays
     values = np.arange(1, n + 1)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     for idx, p in enumerate(_draw(seed, _SWEEP_TAG, n, count, block=index)):
@@ -664,16 +663,7 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, tuple[bool, 
                     for key in _SWEEP_KEYS:
                         record(key, f"fast path disagrees with descent sets at r={r}")
                     break
-    return results
-
-
-def _swept(opts: VerifyOptions, key: str, top: int, scope: str = "") -> tuple[bool, str]:
-    """The verdict of a structural check whose exhaustive part passed up to
-    n = top: the shared sweep's result for key."""
-    ok, detail = _structural_samples(opts)[key]
-    if not ok:
-        return _fail(detail)
-    return _ok(f"exhaustive n<={top}{scope}, sampled at n in {list(opts.sampled_n)}")
+    return failures
 
 
 def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:
@@ -688,18 +678,18 @@ def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:
 def _structural_samples(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
     """The five structural lemma checks on the samples of every size in
     opts.sampled_n; several checks share them, so they run once per verify run."""
-    return _per_run(opts, "sweep",
-                    lambda: _merge_sweep(_block_results(opts, _structural_block)))
+    failures = _per_run(opts, "sweep", lambda: _first_failures(
+        _block_results(opts, _structural_block)))
+    return {key: (key not in failures, failures.get(key, "")) for key in _SWEEP_KEYS}
 
 
-def _merge_sweep(parts: list[dict[str, tuple[bool, str]]]) -> dict[str, tuple[bool, str]]:
-    """The structural checks over all blocks; each key keeps the first
-    failure in block order, which is size order, then block order."""
-    merged = {key: (True, "") for key in _SWEEP_KEYS}
-    for part in parts:
-        for key, (ok, detail) in part.items():
-            if merged[key][0] and not ok:
-                merged[key] = (False, detail)
+def _first_failures(parts: Iterable[dict[str, str]]) -> dict[str, str]:
+    """The first failure of each key that fails in any block, in block
+    order, which is size order, then block order."""
+    merged: dict[str, str] = {}
+    for failures in parts:
+        for key, detail in failures.items():
+            merged.setdefault(key, detail)
     return merged
 
 
@@ -707,15 +697,17 @@ def _merge_sweep(parts: list[dict[str, tuple[bool, str]]]) -> dict[str, tuple[bo
 # the blocks shared through one process pool
 
 def _shared_blocks(opts: VerifyOptions) -> list[tuple[Callable, tuple[int, int, int, int]]]:
-    """Every sampled block of a run, as (fn, (n, seed, index, count)): the
-    sweep at each --sampled-n size, then the reconstruction samples at those
-    sizes and 20, 50, 100, each size split into blocks of at most 2000, in
-    size order, then block order."""
-    kinds = ((_structural_block, opts.sampled_n, opts.samples),
+    """Every block of a run's shared work, as (fn, (n, seed, index, count)),
+    in order of first need: the exhaustive pass over S_n for n up to
+    _top(opts), the sweep at each --sampled-n size, then the reconstruction
+    samples at those sizes and 20, 50, 100.  Each size is split into blocks
+    of at most _BLOCK permutations, listed in size order, then block order."""
+    kinds = ((_exhaustive_block, range(1, _top(opts) + 1), math.factorial),
+             (_structural_block, opts.sampled_n, lambda n: opts.samples),
              (_reconstruction_block, sorted(set(opts.sampled_n) | {20, 50, 100}),
-              min(opts.samples, _RECONSTRUCTION_SAMPLES)))
-    return [(fn, (n, opts.seed, index, take)) for fn, sizes, samples in kinds
-            for n in sizes for index, take in enumerate(block_sizes(samples, 2000))]
+              lambda n: min(opts.samples, _RECONSTRUCTION_SAMPLES)))
+    return [(fn, (n, opts.seed, index, take)) for fn, sizes, count in kinds
+            for n in sizes for index, take in enumerate(block_sizes(count(n), _BLOCK))]
 
 
 def _block_results(opts: VerifyOptions, fn: Callable) -> list:
@@ -730,16 +722,16 @@ def _block_results(opts: VerifyOptions, fn: Callable) -> list:
 
 @contextlib.contextmanager
 def _blocks_in_flight(opts: VerifyOptions) -> Iterator[None]:
-    """At jobs > 1, submit the shared blocks of this run to one pool, the
-    sweep first, then each kind by decreasing n (costliest first at default
-    flags), and leave their futures in the memo for the checks to read; the
-    pool closes when the run ends, however it ends.  At one job nothing starts."""
+    """At jobs > 1, submit the shared blocks of this run to one pool, kind
+    by kind in list order, each kind by decreasing n (costliest first), and
+    leave their futures in the memo for the checks to read; the pool closes
+    when the run ends, however it ends.  At one job nothing starts."""
     jobs = resolve_jobs(opts.jobs)
     if jobs == 1:
         yield
         return
-    tasks = sorted(_shared_blocks(opts),
-                   key=lambda task: (task[0] is not _structural_block, -task[1][0]))
+    tasks = [task for _, kind in itertools.groupby(_shared_blocks(opts), key=lambda task: task[0])
+             for task in sorted(kind, key=lambda task: -task[1][0])]
     # numpy loads numpy.random on first use; loading it before the fork lets
     # the workers share the parent's copy instead of each importing its own
     importlib.import_module("numpy.random")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from unittest.mock import ANY
 
 import pytest
 
@@ -488,7 +489,7 @@ class TestVerify:
         with pytest.raises(dataclasses.FrozenInstanceError):
             opts.samples = 10
 
-    def test_pool_gets_the_sweep_first_then_each_kind_by_decreasing_n(self, monkeypatch):
+    def test_pool_gets_each_kind_in_order_of_need_then_by_decreasing_n(self, monkeypatch):
         submitted = []
 
         class Recorder:  # a pool that records each submit and runs nothing
@@ -499,9 +500,63 @@ class TestVerify:
                             lambda workers: contextlib.nullcontext(Recorder()))
         with verification._blocks_in_flight(verification.VerifyOptions(jobs=2)):
             pass
+        exhaustive = verification._exhaustive_block
         sweep, rebuild = verification._structural_block, verification._reconstruction_block
-        assert submitted == [(sweep, 40), (rebuild, 100), (rebuild, 50), (rebuild, 40),
-                             (rebuild, 20)]
+        assert submitted == [(exhaustive, n) for n in (6, 5, 4, 3, 2, 1)] + [
+            (sweep, 40), (rebuild, 100), (rebuild, 50), (rebuild, 40), (rebuild, 20)]
+
+    def test_every_per_permutation_line_reads_max_n(self):
+        v = verification
+        per_permutation = {
+            v.check_length_is_inversion_count, v.check_cover_criterion, v.check_descent_window,
+            v.check_inverse_symmetry, v.check_descent_monotonicity, v.check_up_down_complement,
+            v.check_triangle_free, v.check_clique_free, v.check_turan_bound,
+            v.check_top_order_is_inversions, v.check_min_degree_bound, v.check_total_graph_union,
+            v.check_increment_lemma, v.check_reconstruction, v.check_injectivity,
+            v.check_components_vs_global_descents}
+        opts = v.VerifyOptions(max_n=4, sampled_n=(), samples=10)
+        details = dict(zip(v.ALL_CHECKS, (res.detail for res in v.run_all(opts))))
+        assert sum(fn in per_permutation for _, fn in v.ALL_CHECKS) == 16
+        for (name, fn), detail in details.items():
+            if fn in per_permutation:
+                assert "n<=4" in detail, name
+        # the help states the bound that those lines read
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        help_text = next(action.help for action in sub.choices["verify"]._actions
+                         if "--max-n" in action.option_strings)
+        assert f"up to it or {v.MAX_PASS_N}," in help_text
+
+    def test_pass_reaches_a_defect_of_s_8_alone(self, monkeypatch):
+        # the scan drops its last pair at n = 8, r = 3 only
+        real = bruhat._descent_pairs_word
+        monkeypatch.setattr(bruhat, "_descent_pairs_word",
+                            lambda w, r: real(w, r)[:-1] if (len(w), r) == (8, 3) else real(w, r))
+        failures, _ = verification._exhaustive_block((8, 0, 0, 2000))
+        assert set(failures) == {"window", "inverse", "monotonicity"}
+        for index, count in enumerate((2000, 2000, 1040)):
+            assert verification._exhaustive_block((7, 0, index, count)) == ({}, ANY)
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_pass_blocks_merge_alike_at_any_size_and_jobs(self, monkeypatch, broken):
+        target = Permutation((5, 3, 2, 1, 4))  # rank 110, in the last of S_5's 3 blocks
+        if broken:
+            real = bruhat.is_cover
+            monkeypatch.setattr(bruhat, "is_cover",
+                                lambda p, q: (not real(p, q)) if p == target else real(p, q))
+        reports = []
+        for block, jobs in ((2000, 1), (50, 1), (50, 2)):
+            monkeypatch.setattr(verification, "_BLOCK", block)
+            opts = verification.VerifyOptions(max_n=5, sampled_n=(12,), samples=30, jobs=jobs)
+            assert [fn for fn, _ in verification._shared_blocks(opts)].count(
+                verification._exhaustive_block) == (5 if block == 2000 else 7)
+            reports.append([(r.name, r.passed, r.detail) for r in verification.run_all(opts)])
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1] == reports[2]
+        failed = [line for line in reports[0] if not line[1]]
+        # the first failure in lexicographic order over S_1..S_5
+        assert failed == ([("cover-criterion-vs-length-oracle", False,
+                            "is_cover([5,3,2,1,4], [5,3,1,2,4]) disagrees with length drop -1")]
+                          if broken else [])
 
     def test_reconstruction_splits_into_blocks_of_2000(self, monkeypatch):
         # record what each block asks for, and draw one row of it

@@ -86,6 +86,11 @@ class TestIsRealizable:
         assert not is_realizable(3, [(2, 2)])
         assert not is_realizable(3, [(2, 0)])
 
+    @pytest.mark.parametrize("members", [[1], [None], [("1", 2)]])
+    def test_malformed_members(self, members):
+        # not a pair, or endpoints that do not compare: unrealizable, not a TypeError
+        assert not is_realizable(3, members)
+
     def test_members_in_either_order(self):
         assert is_realizable(3, [(2, 1), (3, 2)])  # the descent set of [3,2,1]
 
