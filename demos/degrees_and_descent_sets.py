@@ -12,7 +12,6 @@ from bruhat_degrees import (
     strong_descent_set,
     total_degree,
 )
-from bruhat_degrees.perm import Transposition
 
 # Every permutation of S_3, with the elements it covers and is covered by.
 # The down degree counts covered elements (transpositions that remove exactly
@@ -40,5 +39,5 @@ print("inversions:", p.inversion_number())
 
 # The length window in action: t(2,9) removes one blocking value (5), so it
 # enters at r=2; t(4,9) would have to jump two blocking values (5 and 8).
-for t in (Transposition(2, 9), Transposition(4, 9)):
-    print(f"length change of t({t.a},{t.b}):", length_change(t, p))
+for a, b in ((2, 9), (4, 9)):
+    print(f"length change of t({a},{b}):", length_change((a, b), p))

@@ -32,9 +32,8 @@ print("realizable triangle ->", is_realizable(3, [(1, 2), (1, 3), (2, 3)]))
 print("realizable {t(1,3)} ->", is_realizable(3, [(1, 3)]))
 try:
     from bruhat_degrees.bruhat import StrongDescentSet
-    from bruhat_degrees.perm import Transposition
 
-    reconstruct(3, StrongDescentSet(3, 1, (Transposition(1, 3),)))
+    reconstruct(3, StrongDescentSet(3, 1, ((1, 3),)))
 except ValidationFailure as exc:
     print("validation failure, as expected:", exc)
 

@@ -41,7 +41,6 @@ from .graphs import (
 from .perm import (
     InvalidPermutationError,
     Permutation,
-    Transposition,
     apply_transposition_left,
     from_one_line,
     identity,

@@ -34,9 +34,11 @@ def default_jobs() -> int:
 
 def resolve_jobs(jobs: int | None) -> int:
     """The worker count that a --jobs value asks for: None means every CPU
-    this process may run on; a count below 1 is refused."""
+    this process may run on; a count that is no int, or is below 1, is refused."""
     if jobs is None:
         return default_jobs()
+    if type(jobs) is not int:
+        raise ValueError(f"--jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     return jobs

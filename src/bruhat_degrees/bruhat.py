@@ -55,10 +55,10 @@ class DegreeProfile:
 class StrongDescentSet:
     """The r-th strong descent set of a permutation of degree n.
 
-    ``members`` holds (a, b) int pairs, a < b (a ``Transposition`` is one),
-    sorted and free of repeats, so that serialized output is deterministic.
-    ``strong_descent_set`` builds it in that order; members given in any
-    other order are sorted and deduplicated on entry.  This is the only check
+    ``members`` holds (a, b) int pairs, a < b, sorted and free of repeats,
+    so that serialized output is deterministic.  ``strong_descent_set``
+    builds it in that order; members given in any other order are sorted
+    and deduplicated on entry.  This is the only check
     of a member: the parsers and ``is_realizable`` just orient their pairs.
     """
 
@@ -105,10 +105,10 @@ class StrongDescentSet:
     def from_text(cls, n: int, r: int, text: str) -> "StrongDescentSet":
         members = []
         for token in text.split():
-            if not (token.startswith("t(") and token.endswith(")")):
+            fields = token[2:-1].split(",")
+            if not (token.startswith("t(") and token.endswith(")")) or len(fields) != 2:
                 raise ValueError(f"bad transposition token {token!r}")
-            a, b = (_parse_int(x) for x in token[2:-1].split(","))
-            members.append((a, b))
+            members.append(tuple(map(_parse_int, fields)))
         return cls(n, r, _oriented(members))
 
     def to_json(self) -> str:

@@ -19,7 +19,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 
 # The largest n that a descent set or a graph may declare.  Reconstruction and
@@ -46,26 +46,6 @@ def _parse_int(token: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {token!r}")
     return int(token)
-
-
-class Transposition(NamedTuple):
-    """The transposition exchanging the values ``a`` and ``b``, with a < b."""
-
-    a: int
-    b: int
-
-    @classmethod
-    def of(cls, a: int, b: int) -> "Transposition":
-        """Canonicalize an unordered pair into a Transposition.
-
-        >>> Transposition.of(5, 2)
-        Transposition(a=2, b=5)
-        """
-        if a == b:
-            raise ValueError(f"transposition endpoints must differ, got {a}")
-        if a < 1 or b < 1:
-            raise ValueError(f"transposition endpoints must be >= 1, got ({a}, {b})")
-        return cls(a, b) if a < b else cls(b, a)
 
 
 def _check_one_line(values: tuple[int, ...]) -> None:

@@ -13,12 +13,14 @@ sums, brute-force clique search, literal summation).
 
 The per-permutation checks read one exhaustive pass over every S_n with n up
 to min(--max-n, MAX_PASS_N), which computes each ingredient once per
-permutation and makes all their comparisons on it.  The sampled parts draw
-through ``_draw``, which keys each PCG64 stream by (seed, tag, n, block)
-with one tag per consumer, so the samples at one size do not depend on the
-other sizes a run asks for.  The engine's scans go through
-``stats.exhaustive``, which checks its own limit; ``VerifyOptions`` refuses
-a --max-n above it before any check runs.
+permutation and makes all their comparisons on it.  Every sampled
+per-permutation comparison is made likewise by one structural sweep at each
+--sampled-n size, apart from reconstruction's own samples.  So a run draws
+two streams, the sweep's and reconstruction's, both through ``_draw``, which
+keys each PCG64 stream by (seed, tag, n, block), so the samples at one size
+do not depend on the other sizes a run asks for.  The engine's scans go
+through ``stats.exhaustive``, which checks its own limit; ``VerifyOptions``
+refuses a --max-n above it before any check runs.
 
 The pass, the sampled structural sweep and the reconstruction samples are
 computed in the blocks that ``_shared_blocks`` lists.  At jobs > 1,
@@ -115,6 +117,12 @@ class VerifyOptions:
     jobs: int | None = 1
 
     def __post_init__(self) -> None:
+        for flag, value in (("--max-n", self.max_n), ("--samples", self.samples),
+                            ("--seed", self.seed)):
+            if type(value) is not int:
+                raise ValueError(f"{flag} must be an integer, got {value!r}")
+        if type(self.sampled_n) is not tuple or any(type(n) is not int for n in self.sampled_n):
+            raise ValueError(f"--sampled-n must be a tuple of integers, got {self.sampled_n!r}")
         if self.max_n < 2:
             raise ValueError(f"--max-n must be >= 2, got {self.max_n}")
         if self.samples < 1:
@@ -153,9 +161,10 @@ def _exhaustive(opts: VerifyOptions, n: int, stat: str) -> stats.ExhaustiveScan:
     return _per_run(opts, ("scan", n, stat), lambda: stats.exhaustive(n, stat))
 
 
-# the tags of _draw's streams, one per consumer
-_INVERSE_TAG, _INCREMENT_TAG, _RECONSTRUCTION_TAG, _SWEEP_TAG = 101, 102, 103, 500
-# the most samples per size of the two sampled lemma checks and of reconstruction
+# the tags of _draw's two streams: the reconstruction samples and the sweep
+_RECONSTRUCTION_TAG, _SWEEP_TAG = 103, 500
+# the most samples per size of the sweep's inverse-symmetry and increment
+# comparisons, all in its first block, and of reconstruction
 _LEMMA_SAMPLES, _RECONSTRUCTION_SAMPLES = 200, 10_000
 
 
@@ -187,8 +196,9 @@ def _exhaustive_block(args: tuple[int, int, int, int]) -> tuple[dict[str, str], 
     of S_n, lexicographic ranks index * _BLOCK on: the first failure of each
     check key that fails, and each permutation's r = 1 descent set packed
     into an int, one bit per member, for the injectivity check.  Each
-    ingredient is computed once per permutation; the checks that start at
-    n = 2 skip S_1."""
+    ingredient is computed once per permutation, each r-th descent graph from
+    its set; the union check compares it with the total and up-edge graphs,
+    which stay production calls.  The checks that start at n = 2 skip S_1."""
     n, _, index, count = args
     failures: dict[str, str] = {}
     record = failures.setdefault  # the first failure of a key stays
@@ -200,7 +210,7 @@ def _exhaustive_block(args: tuple[int, int, int, int]) -> tuple[dict[str, str], 
         base = p.inversion_number()
         sets = [bruhat.strong_descent_set(p, r) for r in orders]
         members = [set(s.pairs()) for s in sets]
-        descent_graphs = [graphs.strong_descent_graph(p, r) for r in orders]
+        descent_graphs = [graphs.LabeledGraph.from_edges(n, s.members) for s in sets]
         up = bruhat.up_degree(p)
         packed.append(sum(1 << (a * n + b) for a, b in sets[0].members))
 
@@ -328,6 +338,12 @@ check_cover_criterion = _decided_by_pass(
 check_descent_window = _decided_by_pass(
     "window", "Membership in the r-th strong descent set against the inversion window "
               "0 > inv(t p) - inv(p) > -2r, all r.", ", all r")
+# strong_descent_set(p) is the scan of p^-1 carried through the bijection, so
+# the pass compares it with the position-order scan of p itself; the scan of
+# p^-1, mapped back once more, would give back that scan whatever it held
+check_inverse_symmetry = _decided_by_pass(
+    "inverse", "d^(r) of p equals d^(r) of p^-1, with the membership bijection "
+               "t_{a,b} <-> t_{pos(a),pos(b)}.", swept=True)
 check_descent_monotonicity = _decided_by_pass(
     "monotonicity", "The r-th strong descent sets grow with r.")
 check_up_down_complement = _decided_by_pass(
@@ -375,26 +391,6 @@ def check_length_is_inversion_count(opts: VerifyOptions) -> tuple[bool, str]:
             if d != Permutation(w).inversion_number():
                 return _fail(f"word length of {w} is {d}, inversions differ")
     return _ok(f"all of S_n for n<={top}")
-
-
-def check_inverse_symmetry(opts: VerifyOptions) -> tuple[bool, str]:
-    """d^(r) of p equals d^(r) of p^-1, with the membership bijection
-    t_{a,b} <-> t_{pos(a),pos(b)}.
-
-    ``strong_descent_set(p)`` is the scan of p^-1 carried through the
-    bijection, so the exhaustive part compares it with the position-order
-    scan of p itself.  Comparing it with the scan of p^-1, mapped through
-    the bijection once more, would give back that scan whatever it held.
-    """
-    if "inverse" in _exhaustive_pass(opts):
-        return _fail(_exhaustive_pass(opts)["inverse"])
-    for n in opts.sampled_n:
-        for p in _draw(opts.seed, _INVERSE_TAG, n, min(opts.samples, _LEMMA_SAMPLES)):
-            q = p.inverse()
-            for r in (1, 2, n // 2, n - 1):
-                if bruhat.rth_down_degree(p, r) != bruhat.rth_down_degree(q, r):
-                    return _fail(f"degree mismatch for a sample at n={n}, r={r}")
-    return _ok(f"exhaustive n<={_top(opts)}, sampled at n in {list(opts.sampled_n)}")
 
 
 def check_boundary_degrees(opts: VerifyOptions) -> tuple[bool, str]:
@@ -522,16 +518,12 @@ def check_monte_carlo(opts: VerifyOptions) -> tuple[bool, str]:
 
 def check_increment_lemma(opts: VerifyOptions) -> tuple[bool, str]:
     """Down-degree increments under letter insertion equal suffix
-    left-to-right maxima."""
-    if "increment" in _exhaustive_pass(opts):
-        return _fail(_exhaustive_pass(opts)["increment"])
-    if not stats.check_increment_lemma(Permutation(EXAMPLE_PERM)):
+    left-to-right maxima: on the pass, the worked example, then the sweep."""
+    # a failure of the pass is reported before one of the worked example
+    if "increment" not in _exhaustive_pass(opts) and not stats.check_increment_lemma(
+            Permutation(EXAMPLE_PERM)):
         return _fail("increment identity fails on the worked example")
-    for n in opts.sampled_n:
-        for p in _draw(opts.seed, _INCREMENT_TAG, n, min(opts.samples, _LEMMA_SAMPLES)):
-            if not stats.check_increment_lemma(p):
-                return _fail(f"increment identity fails for a sample at n={n}")
-    return _ok(f"exhaustive n<={_top(opts)}, sampled at n in {list(opts.sampled_n)}")
+    return _passed(opts, "increment", swept=True)
 
 
 def check_ltrm_generating_function(opts: VerifyOptions) -> tuple[bool, str]:
@@ -663,6 +655,16 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, str]:
                     for key in _SWEEP_KEYS:
                         record(key, f"fast path disagrees with descent sets at r={r}")
                     break
+
+        # inverse symmetry and the increment lemma, on the size's first samples
+        if index == 0 and idx < _LEMMA_SAMPLES:
+            q = p.inverse()
+            for r in (1, 2, n // 2, n - 1):
+                if bruhat.rth_down_degree(p, r) != bruhat.rth_down_degree(q, r):
+                    record("inverse", f"degree mismatch for a sample at n={n}, r={r}")
+                    break
+            if not stats.check_increment_lemma(p):
+                record("increment", f"increment identity fails for a sample at n={n}")
     return failures
 
 
@@ -676,11 +678,13 @@ def _graph_from_bool(n: int, adj: np.ndarray) -> graphs.LabeledGraph:
 
 
 def _structural_samples(opts: VerifyOptions) -> dict[str, tuple[bool, str]]:
-    """The five structural lemma checks on the samples of every size in
-    opts.sampled_n; several checks share them, so they run once per verify run."""
+    """Seven checks on the samples of every size in opts.sampled_n, inverse
+    symmetry and the increment lemma on the first _LEMMA_SAMPLES of each;
+    several checks share them, so they run once per verify run."""
     failures = _per_run(opts, "sweep", lambda: _first_failures(
         _block_results(opts, _structural_block)))
-    return {key: (key not in failures, failures.get(key, "")) for key in _SWEEP_KEYS}
+    return {key: (key not in failures, failures.get(key, ""))
+            for key in (*_SWEEP_KEYS, "inverse", "increment")}
 
 
 def _first_failures(parts: Iterable[dict[str, str]]) -> dict[str, str]:

@@ -13,11 +13,11 @@ from unittest.mock import ANY
 
 import pytest
 
-from bruhat_degrees import _parallel, bruhat, cli, stats, verification
-from bruhat_degrees._parallel import default_jobs
+from bruhat_degrees import _parallel, bruhat, cli, graphs, stats, verification
+from bruhat_degrees._parallel import default_jobs, resolve_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import build_parser, main
-from bruhat_degrees.perm import Permutation, Transposition, identity
+from bruhat_degrees.perm import Permutation, identity
 from bruhat_degrees.verification import MAX_SAMPLED_N
 
 EXAMPLE_TEXT = "[7,9,5,2,3,8,4,1,6]"
@@ -140,7 +140,7 @@ class TestReconstruct:
 
     def test_mismatched_n_exits_two(self, capsys, tmp_path):
         path = tmp_path / "set.json"
-        path.write_text(StrongDescentSet(3, 1, (Transposition(1, 2),)).to_json())
+        path.write_text(StrongDescentSet(3, 1, ((1, 2),)).to_json())
         code, _, err = run_cli(capsys, "reconstruct", "4", str(path))
         assert code == 2
         assert "n=3" in err
@@ -158,6 +158,13 @@ class TestReconstruct:
                         else f'{{"n":9,"r":1,"members":[[{a},{b}]]}}')
         assert run_cli(capsys, "reconstruct", "9", str(path)) == (
             2, "", f"error: member {(min(a, b), max(a, b))} out of range for n=9\n")
+
+    @pytest.mark.parametrize("token", ["t(1,2,3)", "t(1)"])
+    def test_token_of_the_wrong_arity_is_named(self, capsys, tmp_path, token):
+        path = tmp_path / "set"
+        path.write_text(token)
+        assert run_cli(capsys, "reconstruct", "3", str(path)) == (
+            2, "", f"error: bad transposition token {token!r}\n")
 
 
 class TestExtremal:
@@ -328,9 +335,7 @@ class TestVerify:
             full = real(p, r)
             if p.n >= 3 and r == 1:
                 # claim a triangle {1,2,3} on top of the true descents
-                members = set(full.members) | {Transposition(1, 2),
-                                               Transposition(1, 3),
-                                               Transposition(2, 3)}
+                members = set(full.members) | {(1, 2), (1, 3), (2, 3)}
                 return StrongDescentSet(p.n, r, tuple(sorted(members)))
             return full
 
@@ -419,6 +424,41 @@ class TestVerify:
         failed = [line for line in reports[0] if not line[1]]
         assert failed == [("reconstruction-round-trip", False,
                            "round trip fails for a sample at n=100")]
+
+    @pytest.mark.parametrize("module,name,defect,line,detail", [
+        # off by one on words of length 12 that start with 2, which their inverses rarely do
+        (bruhat, "rth_down_degree",
+         lambda real: lambda p, r: real(p, r) + (p.n == 12 and p.values[0] == 2),
+         "inverse-symmetry-of-descents", "degree mismatch for a sample at n=12, r=1"),
+        # one maximum too many on suffixes of length 10 and up, which S_n for n <= 9 lacks
+        (stats, "ltr_maxima", lambda real: lambda w: real(w) + (len(w) >= 10),
+         "increment-equals-suffix-ltr-maxima", "increment identity fails for a sample at n=12"),
+    ], ids=["inverse", "increment"])
+    def test_a_defect_only_the_samples_reach_fails_one_line(
+            self, monkeypatch, module, name, defect, line, detail):
+        # the sweep's blocks make the sampled comparisons, in forked workers at jobs=2
+        monkeypatch.setattr(module, name, defect(getattr(module, name)))
+        reports = []
+        for jobs in (1, 2):
+            opts = verification.VerifyOptions(max_n=4, sampled_n=(12,), samples=30, jobs=jobs)
+            reports.append([(r.name, r.passed, r.detail) for r in verification.run_all(opts)
+                            if not r.passed])
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1] == [(line, False, detail)]
+
+    def test_no_sample_is_drawn_in_the_main_process_above_one_job(self, monkeypatch):
+        parent, real = os.getpid(), verification._draw
+
+        def draw(*args, **kwargs):
+            if os.getpid() == parent:
+                raise AssertionError("a sample drawn in the main process")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "_draw", draw)
+        opts = verification.VerifyOptions(max_n=4, sampled_n=(12,), samples=30, jobs=2)
+        results = verification.run_all(opts)
+        assert sum(res.passed for res in results) == len(results) == 26
+        assert multiprocessing.active_children() == []
 
     def test_a_crash_while_blocks_are_in_flight_fails_one_line(self, monkeypatch):
         def crash(opts):
@@ -536,6 +576,15 @@ class TestVerify:
         for index, count in enumerate((2000, 2000, 1040)):
             assert verification._exhaustive_block((7, 0, index, count)) == ({}, ANY)
 
+    def test_pass_builds_each_descent_set_once(self, monkeypatch):
+        calls = []
+        real = bruhat.strong_descent_set
+        monkeypatch.setattr(bruhat, "strong_descent_set",
+                            lambda p, r=1: calls.append((p.values, r)) or real(p, r))
+        monkeypatch.setattr(graphs, "strong_descent_graph", None)  # a call would raise
+        assert verification._exhaustive_block((5, 0, 0, 120)) == ({}, ANY)
+        assert len(calls) == len(set(calls)) == 120 * 4
+
     @pytest.mark.parametrize("broken", [False, True])
     def test_pass_blocks_merge_alike_at_any_size_and_jobs(self, monkeypatch, broken):
         target = Permutation((5, 3, 2, 1, 4))  # rank 110, in the last of S_5's 3 blocks
@@ -606,6 +655,17 @@ class TestJobs:
     def test_refused_after_the_commands_own_rules(self, capsys, argv, message):
         # only _parallel.resolve_jobs refuses a count, so the CLI keeps the library's order
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("call,value", [
+        (lambda: stats.monte_carlo_mean(12, samples=50_000, seed=1, jobs=1.5), 1.5),
+        (lambda: stats.distribution(3, jobs=1.5), 1.5),
+        (lambda: resolve_jobs(True), True),
+        (lambda: resolve_jobs("2"), "2"),
+    ])
+    def test_count_that_is_no_int_refused(self, call, value):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"--jobs must be an integer, got {value!r}"
 
     def test_one_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "distribution", "3", "--jobs", "1")
@@ -707,6 +767,15 @@ class TestVerifyOptions:
         (dict(max_n=12, jobs=0), "--max-n 12 exceeds the exhaustive limit 9"),
         (dict(jobs=0), "--jobs must be >= 1, got 0"),
         (dict(jobs=-5), "--jobs must be >= 1, got -5"),
+        # wrong types, each refused with one line before any other rule
+        (dict(samples=2.5), "--samples must be an integer, got 2.5"),
+        (dict(max_n=3.0), "--max-n must be an integer, got 3.0"),
+        (dict(max_n=True), "--max-n must be an integer, got True"),
+        (dict(seed=1.5, max_n=1), "--seed must be an integer, got 1.5"),
+        (dict(sampled_n=(12.0,)), "--sampled-n must be a tuple of integers, got (12.0,)"),
+        (dict(sampled_n=(12, False)), "--sampled-n must be a tuple of integers, got (12, False)"),
+        (dict(sampled_n=[12]), "--sampled-n must be a tuple of integers, got [12]"),
+        (dict(jobs=1.5), "--jobs must be an integer, got 1.5"),
     ])
     def test_faults_refused_in_order(self, fields, message):
         with pytest.raises(ValueError) as err:

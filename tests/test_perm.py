@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bruhat_degrees.perm import (
     InvalidPermutationError,
     Permutation,
-    Transposition,
     _inversion_number_quadratic,
     apply_transposition_left,
     from_one_line,
@@ -110,16 +109,14 @@ class TestGroupOps:
             assert len(dist) == math.factorial(n)
 
     def test_apply_transposition_examples(self):
-        t = Transposition(1, 2)
-        assert apply_transposition_left(t, from_one_line([2, 3, 1])).values == (1, 3, 2)
+        assert apply_transposition_left((1, 2), from_one_line([2, 3, 1])).values == (1, 3, 2)
+        assert apply_transposition_left((1, 3), from_one_line([1, 2, 3])).values == (3, 2, 1)
         assert apply_transposition_left(
-            Transposition(1, 3), from_one_line([1, 2, 3])).values == (3, 2, 1)
-        assert apply_transposition_left(
-            Transposition(2, 4), from_one_line([3, 4, 1, 2])).values == (3, 2, 1, 4)
+            (2, 4), from_one_line([3, 4, 1, 2])).values == (3, 2, 1, 4)
 
     def test_apply_transposition_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_transposition_left(Transposition(2, 4), from_one_line([2, 1, 3]))
+            apply_transposition_left((2, 4), from_one_line([2, 1, 3]))
 
     @pytest.mark.parametrize("t", [(1, 10), (10, 1), (0, 2)])
     def test_plain_pair_outside_s_n_refused(self, t):
@@ -134,13 +131,8 @@ class TestGroupOps:
             return
         a = data.draw(st.integers(1, p.n - 1))
         b = data.draw(st.integers(a + 1, p.n))
-        t = Transposition(a, b)
+        t = (a, b)
         assert apply_transposition_left(t, apply_transposition_left(t, p)) == p
-
-    def test_transposition_canonical_order(self):
-        assert Transposition.of(5, 2) == Transposition(2, 5)
-        with pytest.raises(ValueError):
-            Transposition.of(3, 3)
 
 
 class TestSymmetries:
