@@ -105,10 +105,15 @@ class StrongDescentSet:
     def from_text(cls, n: int, r: int, text: str) -> "StrongDescentSet":
         members = []
         for token in text.split():
-            fields = token[2:-1].split(",")
-            if not (token.startswith("t(") and token.endswith(")")) or len(fields) != 2:
-                raise ValueError(f"bad transposition token {token!r}")
-            members.append(tuple(map(_parse_int, fields)))
+            # the wrong brackets, the wrong arity and a field that is no
+            # integer all name the token
+            try:
+                if not (token.startswith("t(") and token.endswith(")")):
+                    raise ValueError
+                a, b = map(_parse_int, token[2:-1].split(","))
+            except ValueError:
+                raise ValueError(f"bad transposition token {token!r}") from None
+            members.append((a, b))
         return cls(n, r, _oriented(members))
 
     def to_json(self) -> str:

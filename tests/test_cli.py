@@ -159,8 +159,8 @@ class TestReconstruct:
         assert run_cli(capsys, "reconstruct", "9", str(path)) == (
             2, "", f"error: member {(min(a, b), max(a, b))} out of range for n=9\n")
 
-    @pytest.mark.parametrize("token", ["t(1,2,3)", "t(1)"])
-    def test_token_of_the_wrong_arity_is_named(self, capsys, tmp_path, token):
+    @pytest.mark.parametrize("token", ["t(1,2,3)", "t(1)", "t(1,x)"])
+    def test_bad_token_is_named(self, capsys, tmp_path, token):
         path = tmp_path / "set"
         path.write_text(token)
         assert run_cli(capsys, "reconstruct", "3", str(path)) == (
@@ -260,6 +260,23 @@ class TestExpectAndSampling:
         code, out, _ = run_cli(capsys, *argv.split())
         assert code == 0
         assert out == expected + "\n"
+
+    # rth was scored by one word scan per row before the batched kernel took
+    # every statistic; these are that route's outputs, at both job counts
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv,expected", [
+        ("sample 50 --stat rth --r 5 --samples 500 --seed 1",
+         "mean=366.68 stderr=0.7140580914154112 samples=500 seed=1"),
+        ("sample 12 --stat rth --r 11 --samples 1000 --seed 7",
+         "mean=32.764 stderr=0.2340493176300304 samples=1000 seed=7"),
+        # three blocks
+        ("sample 50 --stat rth --r 5 --samples 45000 --seed 1",
+         "mean=367.2350666666667 stderr=0.07661416431804213 samples=45000 seed=1"),
+        ("sample 200 --stat total --samples 25000 --seed 4",
+         "mean=1562.9858 stderr=0.13096243576225455 samples=25000 seed=4"),
+    ])
+    def test_kernel_output_pinned_at_any_jobs(self, capsys, argv, expected, jobs):
+        assert run_cli(capsys, *argv.split(), "--jobs", jobs) == (0, expected + "\n", "")
 
     @pytest.mark.parametrize("argv", [
         "sample 12 --samples 45000 --seed 5",

@@ -194,35 +194,62 @@ class TestBatchHelpers:
             assert up_degree(p) == u
 
     @staticmethod
-    def assert_kernel_matches_scans(W):
+    def assert_kernel_matches_scans(W, r=1):
         n = W.shape[1]
-        downs, ups = down_degrees_batch(W), down_degrees_batch(n + 1 - W)
-        assert downs.dtype == ups.dtype == np.int64
-        assert downs.shape == ups.shape == (W.shape[0],)
-        for w, d, u in zip(W.tolist(), downs.tolist(), ups.tolist()):
-            assert d == len(bruhat._down_pairs_word(w))
-            assert u == len(bruhat._up_pairs_word(w))
+        degrees = down_degrees_batch(W, r)
+        assert degrees.dtype == np.int64
+        assert degrees.shape == (W.shape[0],)
+        assert degrees.tolist() == [len(bruhat._rth_pairs(w, r)) for w in W.tolist()]
+        if r == 1:
+            ups = down_degrees_batch(n + 1 - W)
+            assert ups.tolist() == [len(bruhat._up_pairs_word(w)) for w in W.tolist()]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_kernel_on_all_of_sn(self, n):
         W = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-        self.assert_kernel_matches_scans(W)
+        for r in range(1, max(n, 2)):
+            self.assert_kernel_matches_scans(W, r)
 
-    @pytest.mark.parametrize("n", [126, 127, 128, 129, 300])
+    @pytest.mark.parametrize("n", [254, 255, 256, 300])
     def test_kernel_across_letter_types(self, n):
-        # int8 columns hold letters up to 127, int16 from n = 128
-        self.assert_kernel_matches_scans(random_permutation_matrix(n, 40, (n, 7)))
+        # uint8 columns hold letters up to 255, uint16 from n = 256
+        W = random_permutation_matrix(n, 12, (n, 7))
+        for r in (1, 2, n // 2, n - 1):
+            self.assert_kernel_matches_scans(W, r)
 
+    @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 50])
-    def test_kernel_on_zero_rows(self, n):
-        degrees = down_degrees_batch(np.zeros((0, n), dtype=np.int64))
+    def test_kernel_on_zero_rows(self, n, r):
+        degrees = down_degrees_batch(np.zeros((0, n), dtype=np.int64), r)
         assert degrees.dtype == np.int64 and degrees.shape == (0,)
 
-    def test_kernel_at_n_one_and_two(self):
-        assert down_degrees_batch(np.array([[1], [1]])).tolist() == [0, 0]
-        degrees = down_degrees_batch(np.array([[1, 2], [2, 1], [2, 1]]))
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_kernel_at_n_one_and_two(self, r):
+        # from r = n - 1 on, every inversion is an r-th strong descent
+        assert down_degrees_batch(np.array([[1], [1]]), r).tolist() == [0, 0]
+        degrees = down_degrees_batch(np.array([[1, 2], [2, 1], [2, 1]]), r)
         assert degrees.dtype == np.int64
         assert degrees.tolist() == [0, 1, 1]
+
+    def test_kernel_refuses_order_zero(self):
+        with pytest.raises(ValueError, match="r=0 must be >= 1"):
+            down_degrees_batch(np.array([[2, 1]]), 0)
+
+    @pytest.mark.parametrize("stat,r,chunks", [
+        ("rth", 5, [5] * 6),  # 1000 cells hold 5 rows of five slot arrays at n = 40
+        ("total", 1, [25, 25, 5, 5]),  # and 25 rows of one, down and up in turn
+        ("down", 1, [25, 5]),
+    ])
+    def test_chunks_leave_a_block_unchanged(self, monkeypatch, stat, r, chunks):
+        block = (40, stat, r, 1, 0, 30)
+        whole = stats._mc_block(block)
+        scored = []
+        real = stats.down_degrees_batch
+        monkeypatch.setattr(stats, "_MC_CELLS", 1000)
+        monkeypatch.setattr(stats, "down_degrees_batch",
+                            lambda W, r=1: scored.append(len(W)) or real(W, r))
+        assert stats._mc_block(block) == whole
+        assert scored == chunks
 
     def test_matrix_rows_are_permutations(self):
         W = random_permutation_matrix(12, 25, (3, 4))
