@@ -3,9 +3,9 @@
 # diagram of the strong Bruhat order, and strong descent sets of every order.
 
 from bruhat_degrees import (
+    Permutation,
     covered_by,
     covers_of,
-    from_one_line,
     iter_permutations,
     length_change,
     rth_down_degree,
@@ -26,7 +26,7 @@ for p in iter_permutations(3):
 
 # A 9-element example.  t(a,b) is a strong descent when b sits before a and
 # no value between a and b separates them.
-p = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
+p = Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6])
 print(f"\n== descent sets of {p} ==")
 print("r=1:", strong_descent_set(p, 1).to_text())
 

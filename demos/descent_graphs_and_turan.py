@@ -3,7 +3,7 @@
 # graphs, and the structural facts connecting them.
 
 from bruhat_degrees import (
-    from_one_line,
+    Permutation,
     global_descent_count,
     strong_descent_graph,
     total_degree_graph,
@@ -12,7 +12,7 @@ from bruhat_degrees import (
     up_edge_graph,
 )
 
-p = from_one_line([3, 4, 1, 2])
+p = Permutation([3, 4, 1, 2])
 
 # The strong descent graph puts an edge {a,b} for every strong descent
 # t(a,b).  For the block rotation [3,4,1,2] it is the complete bipartite
@@ -33,7 +33,7 @@ print("T_2(4) == descent graph above:",
       turan_graph(2, 4).edges() == [(1, 3), (1, 4), (2, 3), (2, 4)])
 
 # The total-degree graph adds the up edges; the two edge sets never overlap.
-big = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
+big = Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6])
 print("\ntotal graph edge count:", total_degree_graph(big).edge_count,
       "= down", strong_descent_graph(big, 1).edge_count,
       "+ up", up_edge_graph(big).edge_count)
@@ -42,7 +42,7 @@ print("min degree of the total graph:", total_degree_graph(big).min_degree(),
 
 # Connected components of the descent graph mirror the global descents of
 # the reversed word, offset by one.
-for q in (from_one_line([2, 1, 4, 3]), from_one_line([3, 4, 1, 2]), big):
+for q in (Permutation([2, 1, 4, 3]), Permutation([3, 4, 1, 2]), big):
     comps = strong_descent_graph(q, 1).component_count()
     gd = global_descent_count(q.reverse_positions())
     print(f"{q}: components={comps}, global descents of reversal={gd}")

@@ -5,11 +5,11 @@
 import math
 
 from bruhat_degrees import (
+    Permutation,
     check_increment_lemma,
     distribution,
     exhaustive_mean,
     expected_down_degree,
-    from_one_line,
     harmonic,
     monte_carlo_mean,
     triple_sum_expectation,
@@ -51,5 +51,5 @@ print(f"exact {exact:.4f}   sampled {mean:.4f} +- {se:.4f} "
 # The engine behind the expectation: inserting the next-largest letter into
 # a permutation raises the down degree by the number of left-to-right maxima
 # of the suffix after the insertion point.
-p = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
+p = Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6])
 print("\nincrement identity holds for", p, ":", check_increment_lemma(p))

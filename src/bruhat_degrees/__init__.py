@@ -21,7 +21,6 @@ from .bruhat import (
     up_degree,
 )
 from .extremal import (
-    ExtremalFamilySpec,
     brute_force_max,
     extremal_down_permutations,
     extremal_total_permutations,
@@ -31,7 +30,6 @@ from .extremal import (
 from .graphs import (
     LabeledGraph,
     global_descent_count,
-    is_complete_multipartite,
     strong_descent_graph,
     total_degree_graph,
     turan_graph,
@@ -42,17 +40,13 @@ from .perm import (
     InvalidPermutationError,
     Permutation,
     apply_transposition_left,
-    from_one_line,
     identity,
     iter_permutations,
     longest_decreasing_subsequence,
     longest_element,
     ltr_maxima,
     parse_permutation,
-    random_permutation,
     rank,
-    standardize_word,
-    suffix,
     unrank,
 )
 from .reconstruct import ValidationFailure, is_realizable, reconstruct
@@ -62,7 +56,6 @@ from .stats import (
     distribution,
     exhaustive_mean,
     expected_down_degree,
-    expected_ltrm,
     harmonic,
     monte_carlo_mean,
     triple_sum_expectation,

@@ -215,8 +215,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    sampled = None if args.sampled_n is None else tuple(
-        _parse_int(tok.strip()) for tok in args.sampled_n.split(",") if tok.strip())
+    sampled = args.sampled_n
+    if sampled is not None and not sampled.strip():  # a blank value is no sizes
+        sampled = ()
+    elif sampled is not None:  # every field is parsed, an empty one too
+        sampled = tuple(_parse_int(tok.strip()) for tok in sampled.split(","))
     given = {"max_n": args.max_n, "sampled_n": sampled, "samples": args.samples,
              "seed": args.seed}
     from . import verification  # only verify pays to load the checks

@@ -19,30 +19,8 @@ number of workers.  It returns ``Permutation`` objects for library callers;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import stats
 from .perm import Permutation, _check_degree_cap
-
-
-@dataclass(frozen=True)
-class ExtremalFamilySpec:
-    """One member of the maximal-down-degree family: block size m, offset t."""
-
-    n: int
-    m: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.m not in (self.n // 2, (self.n + 1) // 2):
-            raise ValueError(f"block size m={self.m} is not a half of n={self.n}")
-        if not 1 <= self.t <= self.n - self.m:
-            raise ValueError(f"offset t={self.t} out of range 1..{self.n - self.m}")
-
-    def permutation(self) -> Permutation:
-        n, m, t = self.n, self.m, self.t
-        vals = list(range(t + m + 1, n + 1)) + list(range(t + 1, t + m + 1)) + list(range(1, t + 1))
-        return Permutation(tuple(vals))
 
 
 def max_down_degree(n: int) -> int:
@@ -68,7 +46,8 @@ def extremal_down_permutations(n: int) -> list[Permutation]:
         raise ValueError("degree must be >= 1")
     _check_degree_cap(n)
     found = {
-        ExtremalFamilySpec(n, m, t).permutation()
+        Permutation(tuple(range(t + m + 1, n + 1)) + tuple(range(t + 1, t + m + 1))
+                    + tuple(range(1, t + 1)))
         for m in {n // 2, (n + 1) // 2}
         for t in range(1, n - m + 1)
     }

@@ -179,11 +179,6 @@ def _components(rows: Sequence[int]) -> list[int]:
     return comps
 
 
-def is_complete_multipartite(g: LabeledGraph) -> tuple[bool, list[list[int]] | None]:
-    parts = g.complete_multipartite_parts()
-    return parts is not None, parts
-
-
 def strong_descent_graph(p: Permutation, r: int = 1) -> LabeledGraph:
     """Graph whose edges are the r-th strong descents of p."""
     descents = bruhat.strong_descent_set(p, r)

@@ -6,7 +6,8 @@ is the raw tuple (index 0 holds pi(1)).
 
 The module also handles "words": tuples of pairwise-distinct positive
 integers that need not form an initial segment {1..k}.  Words arise as
-restrictions and suffixes of permutations (``restrict_below``, ``suffix``).
+restrictions of permutations (``restrict_below``) and are read by
+``ltr_maxima`` and ``longest_decreasing_subsequence``.
 
 Text format accepted everywhere: comma- or space-separated values with
 optional surrounding brackets, e.g. ``[7,9,5,2,3,8,4,1,6]`` or
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -96,10 +96,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return "[" + ",".join(map(str, self.values)) + "]"
-
-    def position_of(self, v: int) -> int:
-        """1-based position of the value v."""
-        return self.values.index(v) + 1
 
     def inverse(self) -> "Permutation":
         """The group inverse.
@@ -192,20 +188,6 @@ def longest_element(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 
 
-def from_one_line(values: Sequence[int]) -> Permutation:
-    """Build a Permutation, rejecting malformed input with a diagnostic.
-
-    >>> from_one_line([2, 1, 3]).values
-    (2, 1, 3)
-    >>> try:
-    ...     from_one_line([1, 1, 2])
-    ... except InvalidPermutationError as exc:
-    ...     print(exc)
-    duplicate value 1
-    """
-    return Permutation(tuple(values))
-
-
 def apply_transposition_left(t: tuple[int, int], p: Permutation) -> Permutation:
     """t_{a,b} * p for a pair t = (a, b): p with values a and b exchanged."""
     a, b = t
@@ -228,7 +210,7 @@ def parse_permutation(text: str) -> Permutation:
             values.append(_parse_int(tok))
         except ValueError:
             raise InvalidPermutationError(f"invalid value {tok!r}") from None
-    return from_one_line(values)
+    return Permutation(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +225,6 @@ def _inversion_number_quadratic(vals: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # words
 
-def _check_word(word: Sequence[int]) -> None:
-    seen = set()
-    for v in word:
-        if v < 1:
-            raise ValueError(f"word letters must be positive, got {v}")
-        if v in seen:
-            raise ValueError(f"word letters must be distinct, got {v} twice")
-        seen.add(v)
-
-
-def suffix(word: Sequence[int], j: int) -> tuple[int, ...]:
-    """The last j letters of the word.
-
-    >>> suffix((6, 1, 4, 8, 3, 2, 5, 9, 7), 3)
-    (5, 9, 7)
-    """
-    if not 0 <= j <= len(word):
-        raise ValueError(f"suffix length {j} out of range 0..{len(word)}")
-    return tuple(word[len(word) - j:])
-
-
 def ltr_maxima(word: Sequence[int]) -> int:
     """Number of left-to-right maxima (positions whose value beats every earlier one)."""
     count = 0
@@ -273,13 +234,6 @@ def ltr_maxima(word: Sequence[int]) -> int:
             count += 1
             best = v
     return count
-
-
-def standardize_word(word: Sequence[int]) -> Permutation:
-    """Rename the k-th smallest letter to k, giving a permutation of {1..len}."""
-    _check_word(word)
-    ranks = {v: i + 1 for i, v in enumerate(sorted(word))}
-    return Permutation(tuple(ranks[v] for v in word))
 
 
 def longest_decreasing_subsequence(p: Permutation | Sequence[int]) -> int:
@@ -304,7 +258,7 @@ def longest_decreasing_subsequence(p: Permutation | Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumeration, ranking, sampling
+# enumeration and ranking
 
 def iter_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations in lexicographic order of one-line notation."""
@@ -345,18 +299,4 @@ def unrank(n: int, k: int) -> Permutation:
         vals.append(remaining.pop(d))
         if i < n - 1:
             fact //= n - 1 - i
-    return Permutation(tuple(vals))
-
-
-def random_permutation(n: int, seed: int | random.Random) -> Permutation:
-    """Uniform random permutation via Fisher-Yates.
-
-    The generator is ``random.Random`` (Mersenne Twister); an explicit seed
-    (or an already-seeded Random instance) is required, never global state.
-    """
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    vals = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        vals[i], vals[j] = vals[j], vals[i]
     return Permutation(tuple(vals))

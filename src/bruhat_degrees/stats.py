@@ -61,7 +61,8 @@ _MC_CELLS = 2**25  # cells of a Monte Carlo block's samples, and of its kernel s
 
 
 def harmonic(n: int) -> Fraction:
-    """H_n = sum of 1/i for 1 <= i <= n, exactly; H_0 = 0.
+    """H_n = sum of 1/i for 1 <= i <= n, exactly; H_0 = 0.  It is also the
+    mean number of left-to-right maxima of a uniform permutation of S_n.
 
     >>> harmonic(3)
     Fraction(11, 6)
@@ -124,11 +125,6 @@ def _triple_sum_literal(n: int) -> Fraction:
          for k in range(2, j + 1)),
         Fraction(0),
     )
-
-
-def expected_ltrm(t: int) -> Fraction:
-    """Expected number of left-to-right maxima of a uniform word of length t."""
-    return harmonic(t)
 
 
 def ltrm_counts(t: int) -> list[int]:

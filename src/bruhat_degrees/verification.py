@@ -310,10 +310,10 @@ def _exhaustive_pass(opts: VerifyOptions) -> dict[str, str]:
 def _passed(opts: VerifyOptions, key: str, scope: str = "", swept: bool = False
             ) -> tuple[bool, str]:
     """The exhaustive pass's verdict for key, followed for a structural
-    lemma (swept) by the shared sweep's."""
+    lemma (swept) by the shared sweep's when opts.sampled_n names sizes."""
     if key in _exhaustive_pass(opts):
         return _fail(_exhaustive_pass(opts)[key])
-    if not swept:
+    if not (swept and opts.sampled_n):
         return _ok(f"all of S_n for n<={_top(opts)}{scope}")
     ok, detail = _structural_samples(opts)[key]
     if not ok:
@@ -535,7 +535,7 @@ def check_ltrm_generating_function(opts: VerifyOptions) -> tuple[bool, str]:
             return _fail(f"generating function mismatch at t={t}")
         if t >= 1:
             total = sum(k * c for k, c in enumerate(counts))
-            if Fraction(total, math.factorial(t)) != stats.expected_ltrm(t):
+            if Fraction(total, math.factorial(t)) != stats.harmonic(t):
                 return _fail(f"mean left-to-right maxima mismatch at t={t}")
     return _ok("t<=7")
 

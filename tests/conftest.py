@@ -12,6 +12,13 @@ def all_perms(n):
         yield Permutation(vals)
 
 
+def shuffled(n, rng):
+    """A uniform permutation of S_n, drawn by rng.shuffle (rng a random.Random)."""
+    vals = list(range(1, n + 1))
+    rng.shuffle(vals)
+    return Permutation(vals)
+
+
 @lru_cache(maxsize=None)
 def bfs_coxeter_lengths(n):
     """Distance from the identity in the Cayley graph of the adjacent

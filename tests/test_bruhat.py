@@ -25,15 +25,13 @@ from bruhat_degrees.bruhat import (
 )
 from bruhat_degrees.perm import (
     Permutation,
-    from_one_line,
     identity,
     longest_element,
-    random_permutation,
 )
 from bruhat_degrees.reconstruct import reconstruct
-from conftest import all_perms
+from conftest import all_perms, shuffled
 
-EXAMPLE = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
+EXAMPLE = Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6])
 
 # the strong descent set of the 9-element worked example, sorted
 EXAMPLE_R1 = [
@@ -78,23 +76,23 @@ class TestCovers:
         assert covered_by(identity(3)) == []
 
     def test_reversal_covers_two_in_s3(self):
-        assert len(covered_by(from_one_line([3, 2, 1]))) == 2
+        assert len(covered_by(Permutation([3, 2, 1]))) == 2
 
     def test_neighbor_count_of_213(self):
-        p = from_one_line([2, 1, 3])
+        p = Permutation([2, 1, 3])
         assert len(covers_of(p)) + len(covered_by(p)) == 3
 
     def test_is_cover_examples(self):
-        assert is_cover(from_one_line([2, 1, 3]), from_one_line([1, 2, 3]))
-        assert not is_cover(from_one_line([3, 2, 1]), from_one_line([1, 2, 3]))
-        assert is_cover(from_one_line([3, 2, 1]), from_one_line([2, 3, 1]))
+        assert is_cover(Permutation([2, 1, 3]), Permutation([1, 2, 3]))
+        assert not is_cover(Permutation([3, 2, 1]), Permutation([1, 2, 3]))
+        assert is_cover(Permutation([3, 2, 1]), Permutation([2, 3, 1]))
 
     def test_is_cover_degree_mismatch(self):
         with pytest.raises(ValueError):
-            is_cover(from_one_line([2, 1, 3]), from_one_line([2, 1]))
+            is_cover(Permutation([2, 1, 3]), Permutation([2, 1]))
 
     def test_down_degree_of_block_rotation(self):
-        assert down_degree(from_one_line([3, 4, 1, 2])) == 4
+        assert down_degree(Permutation([3, 4, 1, 2])) == 4
 
     def test_covers_against_length_oracle_exhaustive(self):
         for n in range(1, 7):
@@ -202,7 +200,7 @@ class TestStrongDescentSets:
         # and fewer than r values between them in both position and value
         rng = random.Random(n)
         for _ in range(5):
-            p = random_permutation(n, rng)
+            p = shuffled(n, rng)
             counts, pos = between_counts(p)
             for r in {1, 2, n // 2, n - 1}:
                 table = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
@@ -238,7 +236,7 @@ def _scan_order(w, pairs):
 class TestTopRScan:
     @pytest.mark.parametrize("n", [200, 500])
     def test_large_rows_against_the_table(self, n):
-        p = random_permutation(n, random.Random(n))
+        p = shuffled(n, random.Random(n))
         counts, pos = between_counts(p)
         a, b = np.triu_indices(n, 1)  # value pairs a < b, 0-based, sorted
         after = pos[b + 1] < pos[a + 1]
@@ -249,14 +247,14 @@ class TestTopRScan:
 
     @pytest.mark.parametrize("w", EARLY_STOP_WORDS)
     def test_early_stop_words_against_length_change(self, w):
-        p = from_one_line(list(w))
+        p = Permutation(w)
         for r in range(1, min(3, len(w) - 1) + 1):
             members = [t for t in all_transpositions(len(w))
                        if 0 > length_change(t, p) > -2 * r]
             assert _descent_pairs_word(w, r) == _scan_order(w, members), r
 
     @pytest.mark.parametrize("w", EARLY_STOP_WORDS + [
-        tuple(random_permutation(30, seed).values) for seed in range(3)])
+        tuple(shuffled(30, random.Random(seed)).values) for seed in range(3)])
     def test_walk_stops_once_b_minus_r_to_b_minus_1_are_seen(self, w):
         # the walk from position i reads up to the position where the last of
         # b-r..b-1 appears, or to the end when one of them came before i
@@ -291,7 +289,7 @@ class TestInverseRoute:
 
     @pytest.mark.parametrize("n", [200, 500, 1000])
     def test_large_rows(self, n):
-        p = random_permutation(n, random.Random(n + 1))
+        p = shuffled(n, random.Random(n + 1))
         for r in (1, 2, n // 2, n - 1):
             assert list(_sorted_members(p, r)) == sorted(_rth_pairs(p.values, r)), r
 
@@ -299,7 +297,7 @@ class TestInverseRoute:
         # members in strict (a, b) order are stored as given, not re-sorted;
         # the scan's members are plain pairs
         for seed in range(20):
-            p = random_permutation(60, seed)
+            p = shuffled(60, random.Random(seed))
             for r in (1, 2, 30, 59):
                 members = strong_descent_set(p, r).members
                 assert all(s < t for s, t in zip(members, members[1:])), (seed, r)
@@ -310,13 +308,13 @@ class TestInverseRoute:
 class TestLengthChange:
     def test_examples(self):
         assert length_change((1, 2), identity(3)) == 1
-        assert length_change((1, 3), from_one_line([3, 2, 1])) == -3
-        assert length_change((1, 2), from_one_line([2, 1, 3])) == -1
+        assert length_change((1, 3), Permutation([3, 2, 1])) == -3
+        assert length_change((1, 2), Permutation([2, 1, 3])) == -1
 
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=100)
     def test_always_odd(self, n, data):
-        p = random_permutation(n, data.draw(st.integers(0, 10 ** 6)))
+        p = shuffled(n, random.Random(data.draw(st.integers(0, 10 ** 6))))
         a = data.draw(st.integers(1, n - 1))
         b = data.draw(st.integers(a + 1, n))
         assert length_change((a, b), p) % 2 == 1
@@ -324,13 +322,13 @@ class TestLengthChange:
 
 class TestSerialization:
     def test_json_shape(self):
-        descents = strong_descent_set(from_one_line([3, 4, 1, 2]), 1)
+        descents = strong_descent_set(Permutation([3, 4, 1, 2]), 1)
         text = descents.to_json()
         assert text == '{"n":4,"r":1,"members":[[1,3],[1,4],[2,3],[2,4]]}'
         assert StrongDescentSet.from_json(text) == descents
 
     def test_text_shape(self):
-        descents = strong_descent_set(from_one_line([3, 4, 1, 2]), 1)
+        descents = strong_descent_set(Permutation([3, 4, 1, 2]), 1)
         assert descents.to_text() == "t(1,3) t(1,4) t(2,3) t(2,4)"
         assert StrongDescentSet.from_text(4, 1, descents.to_text()) == descents
 
@@ -348,9 +346,9 @@ class TestSerialization:
     def test_text_out_of_order_is_sorted_and_deduplicated(self):
         descents = strong_descent_set(EXAMPLE, 1)
         tokens = descents.to_text().split()
-        shuffled = " ".join(tokens[::-1] + tokens[3:7])
-        assert StrongDescentSet.from_text(9, 1, shuffled) == descents
-        assert StrongDescentSet.from_text(9, 1, shuffled).pairs() == EXAMPLE_R1
+        reordered = " ".join(tokens[::-1] + tokens[3:7])
+        assert StrongDescentSet.from_text(9, 1, reordered) == descents
+        assert StrongDescentSet.from_text(9, 1, reordered).pairs() == EXAMPLE_R1
 
     def test_plain_tuple_member_is_accepted(self):
         plain = StrongDescentSet(3, 1, ((1, 2),))
@@ -378,7 +376,7 @@ class TestSerialization:
                                      (100, 1), (100, 2), (100, 50), (100, 99)])
     def test_parsed_sets_serialize_like_scanned_ones(self, n, r):
         # parsed sets hold plain pairs, as scanned ones do
-        p = EXAMPLE if n == 9 else random_permutation(n, random.Random(r))
+        p = EXAMPLE if n == 9 else shuffled(n, random.Random(r))
         scanned = strong_descent_set(p, r)
         parsed = [StrongDescentSet.from_text(n, r, scanned.to_text()),
                   StrongDescentSet.from_json(scanned.to_json())]

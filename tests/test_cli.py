@@ -637,6 +637,31 @@ class TestVerify:
         assert [key for key in keys if key[0][2] == 50] == [
             ((0, tag, 50, 0), 2000), ((0, tag, 50, 1), 500)]
 
+    def test_no_sampled_detail_without_sampled_sizes(self):
+        # with no --sampled-n sizes the seven swept lines examine no samples,
+        # so they read like the lines that the pass alone decides
+        def details(sizes):
+            opts = verification.VerifyOptions(max_n=3, sampled_n=sizes, samples=30, jobs=1)
+            return {res.name: res.detail for res in verification.run_all(opts)}
+
+        without, with_sizes = details(()), details((12,))
+        swept = {name for name, detail in with_sizes.items() if "sampled" in detail}
+        assert swept == {
+            "inverse-symmetry-of-descents", "triangle-free-descent-graph",
+            "clique-free-rth-descent-graph", "turan-bound-on-rth-degree",
+            "top-order-descents-equal-inversions", "min-degree-bound-total-graph",
+            "increment-equals-suffix-ltr-maxima"}
+        assert with_sizes["clique-free-rth-descent-graph"] == (
+            "exhaustive n<=3 (all r), sampled at n in [12]")
+        assert not any("sampled" in detail for detail in without.values())
+        for name in swept:
+            pass_only = with_sizes[name].split(", sampled")[0].replace(
+                "exhaustive", "all of S_n for", 1)
+            assert without[name] == pass_only, name
+        # the reconstruction samples the --sampled-n sizes too, and says so
+        rest = with_sizes.keys() - swept - {"reconstruction-round-trip"}
+        assert {name: without[name] for name in rest} == {name: with_sizes[name] for name in rest}
+
     def test_the_memo_is_no_field(self):
         opts = verification.VerifyOptions()
         assert "_memo" not in dataclasses.asdict(opts)
@@ -888,3 +913,18 @@ class TestIntegerArguments:
         code, out, err = run_cli_exit(capsys, ["verify", "--sampled-n", "40,4x"])
         assert (code, out) == (2, "")
         assert err == "error: invalid literal for int() with base 10: '4x'\n"
+
+    @pytest.mark.parametrize("sizes", ["12,,20", "12,"])
+    def test_empty_sampled_n_field_is_refused(self, capsys, monkeypatch, sizes):
+        monkeypatch.setattr(verification, "run_all", lambda opts: pytest.fail("ran the checks"))
+        code, out, err = run_cli_exit(capsys, ["verify", "--sampled-n", sizes])
+        assert (code, out) == (2, "")
+        assert err == "error: invalid literal for int() with base 10: ''\n"
+
+    @pytest.mark.parametrize("sizes,parsed", [("", ()), (" ", ()), (" 12 , 20", (12, 20))])
+    def test_sampled_n_sizes_parsed(self, capsys, monkeypatch, sizes, parsed):
+        seen = []
+        monkeypatch.setattr(verification, "run_all",
+                            lambda opts: seen.append(opts.sampled_n) or [])
+        code, out, err = run_cli_exit(capsys, ["verify", "--sampled-n", sizes])
+        assert (code, err, seen) == (0, "", [parsed])

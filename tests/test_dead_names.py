@@ -70,3 +70,24 @@ def test_no_dead_names():
     others = [p.read_text(encoding="utf-8") for d in SEARCHED for p in sorted(d.rglob("*.py"))
               if p.parent != PACKAGE]
     assert dead_names(package, others) == []
+
+
+def test_public_names_pinned():
+    # adding or removing a public name is a deliberate edit of this list
+    import bruhat_degrees
+
+    assert sorted(bruhat_degrees.__all__) == [
+        "DegreeProfile", "Histogram", "InvalidPermutationError", "LabeledGraph",
+        "Permutation", "StrongDescentSet", "ValidationFailure",
+        "apply_transposition_left", "bruhat", "brute_force_max", "check_increment_lemma",
+        "covered_by", "covers_of", "distribution", "down_degree", "exhaustive_mean",
+        "expected_down_degree", "extremal", "extremal_down_permutations",
+        "extremal_total_permutations", "global_descent_count", "graphs", "harmonic",
+        "identity", "is_cover", "is_realizable", "iter_permutations", "length_change",
+        "longest_decreasing_subsequence", "longest_element", "ltr_maxima",
+        "max_down_degree", "max_total_degree", "monte_carlo_mean", "parse_permutation",
+        "perm", "rank", "reconstruct", "rth_down_degree", "stats", "strong_descent_graph",
+        "strong_descent_set", "total_degree", "total_degree_graph",
+        "triple_sum_expectation", "turan_graph", "turan_number", "unrank", "up_degree",
+        "up_edge_graph",
+    ]

@@ -5,7 +5,6 @@ import pytest
 from bruhat_degrees import stats
 from bruhat_degrees.bruhat import down_degree, total_degree
 from bruhat_degrees.extremal import (
-    ExtremalFamilySpec,
     brute_force_max,
     extremal_down_permutations,
     extremal_total_permutations,
@@ -39,16 +38,6 @@ class TestClosedForms:
 
 
 class TestDownFamily:
-    def test_family_spec_permutation(self):
-        assert ExtremalFamilySpec(4, 2, 1).permutation().values == (4, 2, 3, 1)
-        assert ExtremalFamilySpec(4, 2, 2).permutation().values == (3, 4, 1, 2)
-
-    def test_family_spec_validation(self):
-        with pytest.raises(ValueError):
-            ExtremalFamilySpec(4, 1, 1)
-        with pytest.raises(ValueError):
-            ExtremalFamilySpec(4, 2, 3)
-
     def test_family_n4(self):
         assert [p.values for p in extremal_down_permutations(4)] == [
             (3, 4, 1, 2), (4, 2, 3, 1)]

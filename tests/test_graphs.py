@@ -8,15 +8,14 @@ from bruhat_degrees.bruhat import total_degree
 from bruhat_degrees.graphs import (
     LabeledGraph,
     global_descent_count,
-    is_complete_multipartite,
     strong_descent_graph,
     total_degree_graph,
     turan_graph,
     turan_number,
     up_edge_graph,
 )
-from bruhat_degrees.perm import from_one_line, identity, random_permutation
-from conftest import all_perms
+from bruhat_degrees.perm import Permutation, identity
+from conftest import all_perms, shuffled
 
 
 def brute_has_clique(g, k):
@@ -90,8 +89,6 @@ class TestLabeledGraph:
     def test_complete_multipartite_recognition(self):
         bipartite = LabeledGraph.from_edges(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
         assert bipartite.complete_multipartite_parts() == [[1, 2], [3, 4]]
-        ok, parts = is_complete_multipartite(bipartite)
-        assert ok and parts == [[1, 2], [3, 4]]
 
         empty = LabeledGraph.from_edges(3, [])
         assert empty.complete_multipartite_parts() == [[1, 2, 3]]
@@ -106,7 +103,7 @@ class TestLabeledGraph:
         assert cycle5.complete_multipartite_parts() is None
 
     def test_dot_export_exact(self):
-        g = strong_descent_graph(from_one_line([3, 4, 1, 2]), 1)
+        g = strong_descent_graph(Permutation([3, 4, 1, 2]), 1)
         assert g.to_dot() == (
             "graph G {\n"
             "  1;\n  2;\n  3;\n  4;\n"
@@ -115,7 +112,7 @@ class TestLabeledGraph:
         )
 
     def test_json_export_exact_and_round_trip(self):
-        g = strong_descent_graph(from_one_line([3, 4, 1, 2]), 1)
+        g = strong_descent_graph(Permutation([3, 4, 1, 2]), 1)
         text = g.to_json()
         assert text == '{"n":4,"edges":[[1,3],[1,4],[2,3],[2,4]]}'
         assert LabeledGraph.from_json(text) == g
@@ -135,7 +132,7 @@ class TestLabeledGraph:
 
 class TestDescentGraphs:
     def test_block_rotation_gives_k22(self):
-        g = strong_descent_graph(from_one_line([3, 4, 1, 2]), 1)
+        g = strong_descent_graph(Permutation([3, 4, 1, 2]), 1)
         assert g.edges() == [(1, 3), (1, 4), (2, 3), (2, 4)]
         assert g.complete_multipartite_parts() == [[1, 2], [3, 4]]
 
@@ -143,7 +140,7 @@ class TestDescentGraphs:
         assert strong_descent_graph(identity(4), 1).edge_count == 0
 
     def test_worked_example_edge_count(self):
-        g = strong_descent_graph(from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6]), 1)
+        g = strong_descent_graph(Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6]), 1)
         assert g.edge_count == 12
 
     def test_edge_count_is_degree(self):
@@ -166,9 +163,9 @@ class TestDescentGraphs:
 
 class TestTotalGraph:
     def test_edge_counts(self):
-        assert total_degree_graph(from_one_line([3, 4, 1, 2])).edge_count == 6
-        assert total_degree_graph(from_one_line([1, 2])).edge_count == 1
-        assert total_degree_graph(from_one_line([3, 1, 2])).edge_count == 3
+        assert total_degree_graph(Permutation([3, 4, 1, 2])).edge_count == 6
+        assert total_degree_graph(Permutation([1, 2])).edge_count == 1
+        assert total_degree_graph(Permutation([3, 1, 2])).edge_count == 3
 
     def test_union_decomposition_exhaustive(self):
         for n in range(2, 7):
@@ -188,7 +185,7 @@ class TestTotalGraph:
                 assert total_degree_graph(p).min_degree() <= bound
 
     def test_min_degree_example(self):
-        assert total_degree_graph(from_one_line([3, 4, 1, 2])).min_degree() <= 3
+        assert total_degree_graph(Permutation([3, 4, 1, 2])).min_degree() <= 3
 
 
 class TestTuran:
@@ -225,9 +222,9 @@ class TestTuran:
 
 class TestGlobalDescents:
     def test_examples(self):
-        assert global_descent_count(from_one_line([3, 2, 1])) == 2
-        assert global_descent_count(from_one_line([1, 2, 3])) == 0
-        assert global_descent_count(from_one_line([2, 1, 4, 3])) == 0
+        assert global_descent_count(Permutation([3, 2, 1])) == 2
+        assert global_descent_count(Permutation([1, 2, 3])) == 0
+        assert global_descent_count(Permutation([2, 1, 4, 3])) == 0
 
     def test_components_offset_exhaustive(self):
         # calibrated on S_3..S_5 and pinned through S_7: the descent graph
@@ -240,6 +237,6 @@ class TestGlobalDescents:
     def test_components_offset_sampled(self):
         rng = random.Random(3)
         for _ in range(25):
-            p = random_permutation(40, rng)
+            p = shuffled(40, rng)
             comps = strong_descent_graph(p, 1).component_count()
             assert comps == global_descent_count(p.reverse_positions()) + 1

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from bruhat_degrees.bruhat import StrongDescentSet, strong_descent_set
-from bruhat_degrees.perm import from_one_line, random_permutation
+from bruhat_degrees.perm import Permutation
 from bruhat_degrees.reconstruct import ValidationFailure, is_realizable, reconstruct
-from conftest import all_perms
+from conftest import all_perms, shuffled
 
-EXAMPLE = from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6])
+EXAMPLE = Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6])
 
 
 def descent_set_of(values, n, r=1):
@@ -58,7 +58,7 @@ class TestReconstruct:
     def test_round_trip_sampled(self, n):
         rng = random.Random(n)
         for _ in range(30):
-            p = random_permutation(n, rng)
+            p = shuffled(n, rng)
             assert reconstruct(n, strong_descent_set(p, 1)) == p
 
     def test_injectivity_exhaustive(self):

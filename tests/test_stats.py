@@ -14,7 +14,6 @@ from bruhat_degrees.stats import (
     down_degrees_batch,
     exhaustive_mean,
     expected_down_degree,
-    expected_ltrm,
     harmonic,
     ltrm_counts,
     monte_carlo_mean,
@@ -25,8 +24,8 @@ from bruhat_degrees.stats import (
 from bruhat_degrees import bruhat, stats
 from bruhat_degrees._parallel import block_sizes, map_blocks
 from bruhat_degrees.bruhat import down_degree, up_degree
-from bruhat_degrees.perm import Permutation, from_one_line, random_permutation
-from conftest import all_perms
+from bruhat_degrees.perm import Permutation
+from conftest import all_perms, shuffled
 
 
 def _sleep_less_later(block):
@@ -84,9 +83,9 @@ class TestExpectation:
             expected_down_degree(100_001)
 
     def test_expected_ltrm(self):
-        assert expected_ltrm(0) == 0
-        assert expected_ltrm(2) == Fraction(3, 2)
-        assert expected_ltrm(5) == Fraction(137, 60)
+        assert harmonic(0) == 0
+        assert harmonic(2) == Fraction(3, 2)
+        assert harmonic(5) == Fraction(137, 60)
 
 
 class TestLtrMaxima:
@@ -102,15 +101,15 @@ class TestLtrMaxima:
             counts = ltrm_counts(t)
             mean = Fraction(sum(k * c for k, c in enumerate(counts)),
                             math.factorial(t))
-            assert mean == expected_ltrm(t)
+            assert mean == harmonic(t)
 
 
 class TestIncrementLemma:
     def test_identity(self):
-        assert check_increment_lemma(from_one_line([1, 2, 3]))
+        assert check_increment_lemma(Permutation([1, 2, 3]))
 
     def test_worked_example(self):
-        assert check_increment_lemma(from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6]))
+        assert check_increment_lemma(Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6]))
 
     def test_exhaustive_small(self):
         for n in range(2, 8):
@@ -126,23 +125,23 @@ class TestIncrementLemma:
             return real(p)
 
         monkeypatch.setattr(bruhat, "down_degree", counted)
-        assert check_increment_lemma(random_permutation(40, random.Random(3)))
+        assert check_increment_lemma(shuffled(40, random.Random(3)))
         assert calls == list(range(2, 41))
 
     def test_fails_when_down_degree_is_off_by_one(self, monkeypatch):
         real = bruhat.down_degree
         monkeypatch.setattr(bruhat, "down_degree", lambda p: real(p) + (p.n == 3))
-        assert not check_increment_lemma(from_one_line([1, 2, 3]))
-        assert not check_increment_lemma(from_one_line([7, 9, 5, 2, 3, 8, 4, 1, 6]))
+        assert not check_increment_lemma(Permutation([1, 2, 3]))
+        assert not check_increment_lemma(Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6]))
 
     def test_random_n8(self):
         rng = random.Random(99)
         for _ in range(50):
-            assert check_increment_lemma(random_permutation(8, rng))
+            assert check_increment_lemma(shuffled(8, rng))
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
-            check_increment_lemma(from_one_line([1]))
+            check_increment_lemma(Permutation([1]))
 
 
 class TestDistribution:
