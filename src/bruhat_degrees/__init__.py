@@ -63,4 +63,14 @@ from .stats import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = ["DegreeProfile", "Histogram", "InvalidPermutationError", "LabeledGraph", "Permutation",
+           "StrongDescentSet", "ValidationFailure", "apply_transposition_left", "brute_force_max",
+           "check_increment_lemma", "covered_by", "covers_of", "distribution", "down_degree",
+           "exhaustive_mean", "expected_down_degree", "extremal_down_permutations",
+           "extremal_total_permutations", "global_descent_count", "harmonic", "identity",
+           "is_cover", "is_realizable", "iter_permutations", "length_change",
+           "longest_decreasing_subsequence", "longest_element", "ltr_maxima", "max_down_degree",
+           "max_total_degree", "monte_carlo_mean", "parse_permutation", "rank", "reconstruct",
+           "rth_down_degree", "strong_descent_graph", "strong_descent_set", "total_degree",
+           "total_degree_graph", "triple_sum_expectation", "turan_graph", "turan_number", "unrank",
+           "up_degree", "up_edge_graph"]

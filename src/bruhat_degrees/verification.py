@@ -50,19 +50,13 @@ from typing import Callable, Iterable, Iterator, TypeVar
 from . import bruhat, extremal, graphs, stats
 from ._parallel import block_sizes, map_blocks, process_pool, resolve_jobs
 from .reconstruct import is_realizable, reconstruct
-from .perm import (
-    Permutation,
-    identity,
-    iter_permutations,
-    longest_decreasing_subsequence,
-    longest_element,
-    unrank,
-)
+from .perm import (Permutation, identity, longest_decreasing_subsequence, longest_element,
+                   ltr_maxima, unrank)
 
 T = TypeVar("T")
 
 # the largest n of the per-permutation checks, whatever --max-n says above it:
-# verify --max-n 8 --jobs 2 took 21-27 s on 2 cores, and 290 s with S_9 added
+# verify --max-n 8 --jobs 2 took 22-25 s on 2 cores; S_9 has 9 times as many permutations
 MAX_PASS_N = 8
 # the most permutations in one shared block, exhaustive or sampled
 _BLOCK = 2000
@@ -198,7 +192,9 @@ def _exhaustive_block(args: tuple[int, int, int, int]) -> tuple[dict[str, str], 
     into an int, one bit per member, for the injectivity check.  Each
     ingredient is computed once per permutation, each r-th descent graph from
     its set; the union check compares it with the total and up-edge graphs,
-    which stay production calls.  The checks that start at n = 2 skip S_1."""
+    which stay production calls.  The checks that start at n = 2 skip S_1.
+    A lone block checks only the top increment step, the insertion of n: the
+    lower steps are the top steps of p's restrictions, checked at their sizes."""
     n, _, index, count = args
     failures: dict[str, str] = {}
     record = failures.setdefault  # the first failure of a key stays
@@ -206,12 +202,13 @@ def _exhaustive_block(args: tuple[int, int, int, int]) -> tuple[dict[str, str], 
     turan_caps = [graphs.turan_number(r + 1, n) for r in range(1, n)]
     swaps = list(itertools.combinations(range(1, n + 1), 2))
     packed = []
-    for p in itertools.islice(iter_permutations(n), index * _BLOCK, index * _BLOCK + count):
+    words = itertools.permutations(range(1, n + 1))  # only the block's become Permutations
+    for p in map(Permutation, itertools.islice(words, index * _BLOCK, index * _BLOCK + count)):
         base = p.inversion_number()
         sets = [bruhat.strong_descent_set(p, r) for r in orders]
         members = [set(s.pairs()) for s in sets]
         descent_graphs = [graphs.LabeledGraph.from_edges(n, s.members) for s in sets]
-        up = bruhat.up_degree(p)
+        down, up = bruhat.down_degree(p), bruhat.up_degree(p)
         packed.append(sum(1 << (a * n + b) for a, b in sets[0].members))
 
         downs, ups = set(), set()
@@ -234,7 +231,7 @@ def _exhaustive_block(args: tuple[int, int, int, int]) -> tuple[dict[str, str], 
             record("cover", f"covered_by({p}) wrong")
         if {q.values for q in bruhat.covers_of(p)} != ups:
             record("cover", f"covers_of({p}) wrong")
-        if bruhat.down_degree(p) != len(downs) or up != len(ups):
+        if down != len(downs) or up != len(ups):
             record("cover", f"degrees of {p} disagree with cover counts")
         if len(sets[0]) != len(downs):
             record("cover", f"descent set size of {p} disagrees with cover count")
@@ -260,27 +257,28 @@ def _exhaustive_block(args: tuple[int, int, int, int]) -> tuple[dict[str, str], 
                 record("monotonicity", f"descents of {p} shrink from r={r - 1} to r={r}")
             if descent_graphs[r - 1].has_clique(r + 2):
                 record("clique_free", f"K_{r + 2} inside the r={r} descent graph of {p}")
-            degree = bruhat.rth_down_degree(p, r)
+                if r == 1:
+                    record("triangle_free", f"triangle in the descent graph of {p}")
+            degree = len(direct)
             if degree > turan_caps[r - 1]:
                 record("turan_bound", f"degree above the Turan bound for {p}, r={r}")
         if degree != base:  # the degree at r = n - 1
             record("top_order", f"top-order degree of {p} is not its inversion count")
-        if not descent_graphs[0].is_triangle_free():
-            record("triangle_free", f"triangle in the descent graph of {p}")
         total = graphs.total_degree_graph(p)
         if total.min_degree() > n // 2 + 1:
             record("min_degree", f"all vertices of the total graph of {p} have high degree")
         up_graph = graphs.up_edge_graph(p)
-        down, up_edges = set(descent_graphs[0].edges()), set(up_graph.edges())
-        if down & up_edges:
+        down_edges, up_edges = set(descent_graphs[0].edges()), set(up_graph.edges())
+        if down_edges & up_edges:
             record("union", f"down and up edges overlap for {p}")
-        if set(total.edges()) != down | up_edges:
+        if set(total.edges()) != down_edges | up_edges:
             record("union", f"total graph of {p} is not the union")
         if total.edge_count != bruhat.total_degree(p).total:
             record("union", f"edge count of the total graph of {p} is off")
         if not up_graph.is_triangle_free():
             record("union", f"up-edge graph of {p} has a triangle")
-        if not stats.check_increment_lemma(p):
+        below = bruhat.down_degree(Permutation(p.restrict_below(n)))
+        if down - below != ltr_maxima(p.values[p.values.index(n) + 1:]):
             record("increment", f"increment identity fails for {p}")
     return failures, packed
 
@@ -417,13 +415,19 @@ def check_turan_bound(opts: VerifyOptions) -> tuple[bool, str]:
     return _passed(opts, "turan_bound", swept=True)
 
 
-def check_max_down_degree(opts: VerifyOptions) -> tuple[bool, str]:
-    """Brute-force maximum of the down degree equals floor(n^2/4)."""
+def _maximum_matches(opts: VerifyOptions, stat: str) -> tuple[bool, str]:
+    """The brute-force maximum of stat over S_n against extremal's formula."""
     for n in range(2, opts.max_n + 1):
-        best = _exhaustive(opts, n, "down").maximum
-        if best != extremal.max_down_degree(n):
-            return _fail(f"max down degree over S_{n} is {best}")
+        best = _exhaustive(opts, n, stat).maximum
+        if best != getattr(extremal, f"max_{stat}_degree")(n):
+            return _fail(f"max {stat} degree over S_{n} is {best}")
     return _ok(f"2<=n<={opts.max_n}")
+
+
+check_max_down_degree = functools.partial(_maximum_matches, stat="down")
+check_max_down_degree.__doc__ = "The brute-force maximum down degree is floor(n^2/4)."
+check_max_total_degree = functools.partial(_maximum_matches, stat="total")
+check_max_total_degree.__doc__ = "The brute-force maximum total degree is floor(n^2/4) + n - 2."
 
 
 def check_extremal_down_classification(opts: VerifyOptions) -> tuple[bool, str]:
@@ -446,15 +450,6 @@ def check_extremal_down_classification(opts: VerifyOptions) -> tuple[bool, str]:
     return _ok(f"2<=n<={opts.max_n}")
 
 
-def check_max_total_degree(opts: VerifyOptions) -> tuple[bool, str]:
-    """Brute-force maximum of the total degree equals floor(n^2/4) + n - 2."""
-    for n in range(2, opts.max_n + 1):
-        best = _exhaustive(opts, n, "total").maximum
-        if best != extremal.max_total_degree(n):
-            return _fail(f"max total degree over S_{n} is {best}")
-    return _ok(f"2<=n<={opts.max_n}")
-
-
 def check_extremal_total_classification(opts: VerifyOptions) -> tuple[bool, str]:
     """The attaining set of the total-degree maximum is the closure of the
     two-block permutations under the three involutions, with counts
@@ -463,14 +458,7 @@ def check_extremal_total_classification(opts: VerifyOptions) -> tuple[bool, str]
         family = extremal.extremal_total_permutations(n)
         if _exhaustive(opts, n, "total").attaining != [p.values for p in family]:
             return _fail(f"attaining set differs from the closure at n={n}")
-        if n == 2:
-            expected = 2
-        elif n in (3, 4):
-            expected = 4
-        elif n % 2 == 0:
-            expected = 8
-        else:
-            expected = 16
+        expected = {2: 2, 3: 4, 4: 4}.get(n, 16 if n % 2 else 8)
         if len(family) != expected:
             return _fail(f"closure size {len(family)} at n={n}, expected {expected}")
         if n == 5:
@@ -656,11 +644,11 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, str]:
                         record(key, f"fast path disagrees with descent sets at r={r}")
                     break
 
-        # inverse symmetry and the increment lemma, on the size's first samples
+        # the first samples: the table's d^(r)(p) against the scan of p^-1, and the increment lemma
         if index == 0 and idx < _LEMMA_SAMPLES:
             q = p.inverse()
             for r in (1, 2, n // 2, n - 1):
-                if bruhat.rth_down_degree(p, r) != bruhat.rth_down_degree(q, r):
+                if degs[r - 1] != bruhat.rth_down_degree(q, r):
                     record("inverse", f"degree mismatch for a sample at n={n}, r={r}")
                     break
             if not stats.check_increment_lemma(p):

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import dataclasses
 import json
@@ -17,7 +18,7 @@ from bruhat_degrees import _parallel, bruhat, cli, graphs, stats, verification
 from bruhat_degrees._parallel import default_jobs, resolve_jobs
 from bruhat_degrees.bruhat import StrongDescentSet
 from bruhat_degrees.cli import build_parser, main
-from bruhat_degrees.perm import Permutation, identity
+from bruhat_degrees.perm import Permutation, identity, iter_permutations
 from bruhat_degrees.verification import MAX_SAMPLED_N
 
 EXAMPLE_TEXT = "[7,9,5,2,3,8,4,1,6]"
@@ -443,7 +444,8 @@ class TestVerify:
                            "round trip fails for a sample at n=100")]
 
     @pytest.mark.parametrize("module,name,defect,line,detail", [
-        # off by one on words of length 12 that start with 2, which their inverses rarely do
+        # off by one on words of length 12 that start with 2: the sweep scans only p^-1,
+        # against the between-count table of p, so the defect reaches the inverses alone
         (bruhat, "rth_down_degree",
          lambda real: lambda p, r: real(p, r) + (p.n == 12 and p.values[0] == 2),
          "inverse-symmetry-of-descents", "degree mismatch for a sample at n=12, r=1"),
@@ -601,6 +603,48 @@ class TestVerify:
         monkeypatch.setattr(graphs, "strong_descent_graph", None)  # a call would raise
         assert verification._exhaustive_block((5, 0, 0, 120)) == ({}, ANY)
         assert len(calls) == len(set(calls)) == 120 * 4
+
+    def test_a_pass_block_builds_permutations_for_its_own_ranks_only(self, monkeypatch):
+        # the block of S_6 at ranks 20..23 builds as many as those ranks do one
+        # at a time: none for the 20 ranks before it
+        built = []
+        real = Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(1) or real(p))
+
+        def count(index, size):
+            monkeypatch.setattr(verification, "_BLOCK", size)
+            built.clear()
+            assert verification._exhaustive_block((6, 0, index, size)) == ({}, ANY)
+            return len(built)
+
+        assert count(5, 4) == sum(count(rank, 1) for rank in range(20, 24))
+
+    def test_a_pass_block_scans_each_order_twice(self, monkeypatch):
+        # at each r >= 2 one scan of p^-1 gives the descent set and one of p
+        # the position-order route, whose length is the degree
+        scans = []
+        real = bruhat._descent_pairs_word
+        monkeypatch.setattr(bruhat, "_descent_pairs_word",
+                            lambda w, r: scans.append(r) or real(w, r))
+        assert verification._exhaustive_block((6, 0, 0, 720)) == ({}, ANY)
+        assert collections.Counter(scans) == {r: 2 * 720 for r in range(2, 6)}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_pass_finds_the_first_increment_failure_of_every_step(self, monkeypatch, jobs):
+        # the pass compares only the step that inserts n; the lower steps are
+        # the top steps of smaller sizes, so its first failure is the first
+        # permutation that the check of every step rejects
+        real = bruhat._down_pairs_word
+        monkeypatch.setattr(bruhat, "_down_pairs_word",
+                            lambda w: real(w)[1:] if len(w) == 5 else real(w))
+        # the descent sets of S_5 lose a member too, which reconstruct would refuse
+        monkeypatch.setattr(verification, "reconstruct", lambda n, descents: None)
+        first = next(p for n in range(2, 7) for p in iter_permutations(n)
+                     if not stats.check_increment_lemma(p))
+        opts = verification.VerifyOptions(max_n=6, sampled_n=(), samples=10, jobs=jobs)
+        assert verification._exhaustive_pass(opts)["increment"] == (
+            f"increment identity fails for {first}")
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("broken", [False, True])
     def test_pass_blocks_merge_alike_at_any_size_and_jobs(self, monkeypatch, broken):

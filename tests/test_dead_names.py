@@ -10,6 +10,7 @@ definition does not count.  Dunder names such as ``__all__`` are exempt.  Like
 ``ast``, since no linter ships with the test environment.
 """
 import ast
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,15 +80,29 @@ def test_public_names_pinned():
     assert sorted(bruhat_degrees.__all__) == [
         "DegreeProfile", "Histogram", "InvalidPermutationError", "LabeledGraph",
         "Permutation", "StrongDescentSet", "ValidationFailure",
-        "apply_transposition_left", "bruhat", "brute_force_max", "check_increment_lemma",
+        "apply_transposition_left", "brute_force_max", "check_increment_lemma",
         "covered_by", "covers_of", "distribution", "down_degree", "exhaustive_mean",
-        "expected_down_degree", "extremal", "extremal_down_permutations",
-        "extremal_total_permutations", "global_descent_count", "graphs", "harmonic",
+        "expected_down_degree", "extremal_down_permutations",
+        "extremal_total_permutations", "global_descent_count", "harmonic",
         "identity", "is_cover", "is_realizable", "iter_permutations", "length_change",
         "longest_decreasing_subsequence", "longest_element", "ltr_maxima",
         "max_down_degree", "max_total_degree", "monte_carlo_mean", "parse_permutation",
-        "perm", "rank", "reconstruct", "rth_down_degree", "stats", "strong_descent_graph",
+        "rank", "reconstruct", "rth_down_degree", "strong_descent_graph",
         "strong_descent_set", "total_degree", "total_degree_graph",
         "triple_sum_expectation", "turan_graph", "turan_number", "unrank", "up_degree",
         "up_edge_graph",
     ]
+
+
+def test_star_import_binds_the_api_and_no_module():
+    import bruhat_degrees
+    from bruhat_degrees import stats
+
+    namespace = {}
+    exec("from bruhat_degrees import *", namespace)
+    del namespace["__builtins__"]
+    public = {name for name, value in vars(bruhat_degrees).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(namespace) == set(bruhat_degrees.__all__) == public
+    # the submodules stay attributes of the package
+    assert bruhat_degrees.stats is stats
