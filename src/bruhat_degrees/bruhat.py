@@ -11,28 +11,31 @@ strictly between them hold values strictly between a and b; equivalently
 0 > inv(t_{a,b} p) - inv(p) > -2r.  The r = 1 case gives the covers, and
 r = n-1 gives all inversions.
 
-Each statistic has one positional scan, O(n^2), that lists its pairs:
-``_down_pairs_word`` (covers), ``_up_pairs_word`` (up-edges) and
-``_descent_pairs_word`` (r-th strong descents); the degrees are the lengths
-of those lists.  From each start b, the cover scan holds the largest letter
-below b seen so far and the r-th scan the r largest, so a later letter
-a < b counts exactly when fewer than r are held or a lies above the least
-of them; both walks stop once they hold b-r..b-1, after which no letter
-counts.  The inversion-number route (``length_change``) and the numpy
-prefix-sum table (``between_counts``) are kept as independent oracles.
+The covers and up-edges come from one right-to-left sweep,
+``_cover_pairs_word`` (after Guting, Nurmi and Ottmann, J. Algorithms 10,
+1989): n bisects and list inserts, then one step per pair, and a random word
+has (n+1)H_n - 2n covers.  A one-sided call (``down_degree``) on a word with
+about n^2/4 pairs on the other side pays for those too.  The r-th strong
+descents come from one O(n^2) walk, ``_descent_pairs_word``: from each start
+b it holds the r largest letters below b seen so far; a later letter a < b
+counts exactly when fewer than r are held or a lies above the least of them,
+and the walk stops once it holds b-r..b-1.  At r = 1 it is the sweep's test
+oracle; ``length_change`` and the prefix-sum table ``between_counts`` are
+independent oracles too.
 
-``strong_descent_set`` runs the same scan on the inverse word instead.  A
+``strong_descent_set`` runs the same routes on the inverse word instead.  A
 pair (x, y) of p^-1 maps to the member (p(y), p(x)) of p, a plain pair, and
-since the scan moves its start left to right and its walk likewise, the
-members come out already sorted by (a, b) with no sort.  The degrees and
-``covered_by`` keep the position-order scan of p itself, so the two routes
-check each other.
+since both routes list their starts left to right and, from each start, the
+other letter left to right, the members come out sorted by (a, b) with no
+sort.  The degrees and ``covered_by`` read p itself, so the two routes check
+each other.
 """
 from __future__ import annotations
 
 import json
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heapreplace
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -153,56 +156,63 @@ def _json_fields(text: str, ints: tuple[str, ...], pairs: str
 
 
 # ---------------------------------------------------------------------------
-# word-level scans (tuples of values, no wrapper objects), one per statistic
+# word-level routes (tuples of values, no wrapper objects): the cover sweep and the r-th walk
+
+def _cover_pairs_word(w: Sequence[int]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The covers (a, b) of w and its up-edges (a, b), in walk order: by the
+    position of b (resp. a), then by the position of the other letter.
+
+    ``seen`` holds the letters read so far, sorted; of those, ``lo[v]`` is the
+    largest below v and ``hi[v]`` the smallest above v that sit left of v.
+    The covers of a new start b are its predecessor in ``seen``, that letter's
+    ``lo``, and so on; its up-edges are its successor, that letter's ``hi``,
+    and so on.  Each step points the other letter's opposite link at b.
+    """
+    n = len(w)
+    seen: list[int] = []
+    lo, hi = [0] * (n + 1), [0] * (n + 1)
+    down, up = [], []
+    for i in range(n - 1, -1, -1):
+        b = w[i]
+        j = bisect_left(seen, b)
+        if j:
+            e = seen[j - 1]
+            while e:
+                down.append((e, b))
+                hi[e] = b
+                e = lo[e]
+        if j < len(seen):
+            f = seen[j]
+            while f:
+                up.append((b, f))
+                lo[f] = b
+                f = hi[f]
+        seen.insert(j, b)
+    # the starts ran right to left, each chain against walk order
+    down.reverse()
+    up.reverse()
+    return down, up
+
 
 def _down_pairs_word(w: Sequence[int]) -> list[tuple[int, int]]:
     """Pairs (a, b) with t_{a,b} a strong descent (r = 1)."""
-    n = len(w)
-    out = []
-    for i in range(n - 1):
-        b = w[i]
-        if b == 1:
-            continue
-        best = 0
-        for k in range(i + 1, n):
-            a = w[k]
-            if a < b and a > best:
-                out.append((a, b))
-                if a == b - 1:
-                    break
-                best = a
-    return out
+    return _cover_pairs_word(w)[0]
 
 
 def _up_pairs_word(w: Sequence[int]) -> list[tuple[int, int]]:
     """Pairs (a, b), a < b, with inv(t_{a,b} w) = inv(w) + 1."""
-    n = len(w)
-    out = []
-    for i in range(n - 1):
-        b = w[i]
-        if b == n:
-            continue
-        best = n + 1
-        for k in range(i + 1, n):
-            a = w[k]
-            if a > b and a < best:
-                out.append((b, a))
-                if a == b + 1:
-                    break
-                best = a
-    return out
+    return _cover_pairs_word(w)[1]
 
 
 def _descent_pairs_word(w: Sequence[int], r: int) -> list[tuple[int, int]]:
     """Pairs (a, b) in the r-th strong descent set, top-r scan.
 
     From each start b, ``top`` holds the at most r largest letters below b
-    seen so far, ascending.  A later letter a has fewer than r of them in
-    (a, b) exactly when ``floor < a < b``, where ``floor`` is 0 until r
-    letters are held and ``top[0]`` after.  Only such a letter enters
-    ``top``, and once ``floor`` reaches b - r, ``top`` is b-r..b-1 and no
-    later letter counts, so the walk stops (at r = 1, the cover scan's
-    break at b - 1).
+    seen so far, a min-heap once it holds r.  A later letter a has fewer
+    than r of them in (a, b) exactly when ``floor < a < b``, where ``floor``
+    is 0 until r letters are held and ``top[0]`` after.  Only such a letter
+    enters ``top``, and once ``floor`` reaches b - r, ``top`` is b-r..b-1
+    and no later letter counts, so the walk stops.
     """
     n = len(w)
     out = []
@@ -217,13 +227,16 @@ def _descent_pairs_word(w: Sequence[int], r: int) -> list[tuple[int, int]]:
             a = w[k]
             if floor < a < b:
                 out.append((a, b))
-                insort(top, a)
-                if len(top) > r:
-                    del top[0]
-                if len(top) == r:
-                    floor = top[0]
-                    if floor == stop:
-                        break
+                if floor:
+                    heapreplace(top, a)
+                else:
+                    top.append(a)
+                    if len(top) < r:
+                        continue
+                    heapify(top)
+                floor = top[0]
+                if floor == stop:
+                    break
     return out
 
 
@@ -305,7 +318,8 @@ def up_degree(p: Permutation) -> int:
 
 
 def total_degree(p: Permutation) -> DegreeProfile:
-    return DegreeProfile(down=down_degree(p), up=up_degree(p))
+    down, up = _cover_pairs_word(p.values)
+    return DegreeProfile(down=len(down), up=len(up))
 
 
 def strong_descent_set(p: Permutation, r: int = 1) -> StrongDescentSet:
@@ -324,7 +338,7 @@ def rth_down_degree(p: Permutation, r: int) -> int:
 
 def _rth_pairs(w: Sequence[int], r: int) -> list[tuple[int, int]]:
     """The r-th strong descents of the word w, in position order."""
-    # at r = 1 the cover scan lists the same pairs without the list of r letters
+    # at r = 1 the cover sweep lists the same pairs in the same order, output-sensitively
     _check_order(len(w), r)
     return _down_pairs_word(w) if r == 1 else _descent_pairs_word(w, r)
 

@@ -193,10 +193,9 @@ def up_edge_graph(p: Permutation) -> LabeledGraph:
 def total_degree_graph(p: Permutation) -> LabeledGraph:
     """Edge-disjoint union of the strong descent graph and the up-edge graph;
     its edge count is the total degree of p in the Hasse diagram.  Its down
-    edges come from the cover scan of p, not from ``strong_descent_set``,
+    edges come from the cover sweep of p, not from ``strong_descent_set``,
     which scans p^-1, so comparing the two graphs compares the two routes."""
-    down = bruhat._down_pairs_word(p.values)
-    up = bruhat._up_pairs_word(p.values)
+    down, up = bruhat._cover_pairs_word(p.values)
     return LabeledGraph.from_edges(p.n, down + up)
 
 

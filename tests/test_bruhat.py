@@ -1,4 +1,6 @@
+import itertools
 import json
+import operator
 import random
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from bruhat_degrees.bruhat import (
     DegreeProfile,
     StrongDescentSet,
+    _cover_pairs_word,
     _descent_pairs_word,
+    _down_pairs_word,
     _rth_pairs,
     _sorted_members,
     between_counts,
@@ -22,7 +26,9 @@ from bruhat_degrees.bruhat import (
     strong_descent_set,
     total_degree,
     up_degree,
+    _up_pairs_word,
 )
+from bruhat_degrees.extremal import extremal_down_permutations, extremal_total_permutations
 from bruhat_degrees.perm import (
     Permutation,
     identity,
@@ -274,6 +280,95 @@ class TestTopRScan:
             word.reads = []
             _descent_pairs_word(word, r)
             assert word.reads == expected, r
+
+
+def _up_walk(w):
+    """The up-edges of w from the r = 1 walk run on its complement: a cover
+    (a, b) of the complement is the up-edge (n+1-b, n+1-a) of w, and the walk
+    lists them by the position of the lesser letter, then the greater."""
+    n = len(w)
+    return [(n + 1 - b, n + 1 - a) for a, b in _descent_pairs_word([n + 1 - v for v in w], 1)]
+
+
+def _layered(sizes):
+    """The layered word whose blocks, of the given sizes, each decrease and
+    which increase from block to block."""
+    word, top = [], 0
+    for size in sizes:
+        word.extend(range(top + size, top, -1))
+        top += size
+    return tuple(word)
+
+
+class TestCoverSweep:
+    """``_cover_pairs_word`` against independent routes: the r = 1 walk, the
+    breadth-first Coxeter length, the prefix-sum table and the extremal
+    formulas, pair for pair and in walk order."""
+
+    def test_down_pairs_equal_the_walk_on_all_of_s_n(self):
+        for n in range(1, 9):
+            for w in itertools.permutations(range(1, n + 1)):
+                assert _down_pairs_word(w) == _descent_pairs_word(w, 1), w
+
+    def test_up_pairs_raise_the_length_by_one_on_all_of_s_n(self, length_oracle):
+        # the length change of each swap read off the breadth-first lengths,
+        # which never count inversions; length_change would take 12 s on S_8
+        for n in range(1, 9):
+            dist = length_oracle(n)
+            for w in itertools.permutations(range(1, n + 1)):
+                pos = {v: i for i, v in enumerate(w)}
+                ups = []
+                for a, b in itertools.combinations(range(1, n + 1), 2):
+                    q = list(w)
+                    q[pos[a]], q[pos[b]] = b, a
+                    if dist[tuple(q)] == dist[w] + 1:
+                        ups.append((a, b))
+                ups.sort(key=lambda ab: (pos[ab[0]], pos[ab[1]]))
+                assert _up_pairs_word(w) == ups, w
+
+    @pytest.mark.parametrize("n", [200, 500, 1000, 3000])
+    def test_large_rows(self, n):
+        w = shuffled(n, random.Random(n + 2)).values
+        down, up = _cover_pairs_word(w)
+        if n <= 1000:  # the table's n x n int64 arrays would need several hundred MB at 3000
+            counts, pos = between_counts(w)
+            a, b = np.triu_indices(n, 1)
+            hit = (pos[b + 1] < pos[a + 1]) & (counts[a, b] == 0)
+            table = list(zip((a[hit] + 1).tolist(), (b[hit] + 1).tolist()))
+            assert down == _scan_order(w, table)
+        else:
+            assert down == _descent_pairs_word(w, 1)
+        assert up == _up_walk(w)
+
+    @pytest.mark.parametrize("n", [40, 101, 256])
+    def test_structured_words(self, n):
+        # a layered word has one cover per adjacent pair of a block, and an
+        # up-edge from each letter of a block to each of the next block
+        sizes = [1, 2, 3, 5, 8, 13] * (n // 32) + [1] * (n % 32)
+        layered = (sum(k - 1 for k in sizes), sum(map(operator.mul, sizes, sizes[1:])))
+        m = n * n // 4
+        for w, degrees in [(tuple(range(1, n + 1)), (0, n - 1)),
+                           (tuple(range(n, 0, -1)), (n - 1, 0)),
+                           (_layered(sizes), layered)]:
+            pairs = _cover_pairs_word(w)
+            assert pairs == (_descent_pairs_word(w, 1), _up_walk(w)), w
+            assert (len(pairs[0]), len(pairs[1])) == degrees, w
+        for p in extremal_down_permutations(n):
+            pairs = _cover_pairs_word(p.values)
+            assert pairs == (_descent_pairs_word(p.values, 1), _up_walk(p.values)), p
+            assert len(pairs[0]) == m
+        for p in extremal_total_permutations(n):
+            pairs = _cover_pairs_word(p.values)
+            assert pairs == (_descent_pairs_word(p.values, 1), _up_walk(p.values)), p
+            assert len(pairs[0]) + len(pairs[1]) == m + n - 2
+
+    @pytest.mark.parametrize("w", EARLY_STOP_WORDS + [
+        tuple(shuffled(30, random.Random(seed)).values) for seed in range(3)])
+    def test_sweep_reads_each_position_once_right_to_left(self, w):
+        word = _ReadLog(w)
+        word.reads = []
+        _cover_pairs_word(word)
+        assert word.reads == list(range(len(w) - 1, -1, -1))
 
 
 class TestInverseRoute:

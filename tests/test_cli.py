@@ -2,14 +2,17 @@ import argparse
 import collections
 import contextlib
 import dataclasses
+import gzip
 import json
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import ANY
 
 import pytest
@@ -166,6 +169,40 @@ class TestReconstruct:
         path.write_text(token)
         assert run_cli(capsys, "reconstruct", "3", str(path)) == (
             2, "", f"error: bad transposition token {token!r}\n")
+
+
+class TestLargeOutputs:
+    """CLI output at sizes where the sweep and the walks do real work, pinned
+    in tests/expected/; each word is random.Random(seed).shuffle of 1..n,
+    seeded with n."""
+
+    EXPECTED = Path(__file__).parent / "expected"
+
+    @staticmethod
+    def word(n):
+        values = list(range(1, n + 1))
+        random.Random(n).shuffle(values)
+        return "[" + ",".join(map(str, values)) + "]"
+
+    @pytest.mark.parametrize("argv,name", [
+        (("degrees", 300, "--list"), "degrees-list-n300.txt.gz"),
+        (("descents", 1000, "--format", "json"), "descents-r1-n1000.json"),
+        (("descents", 1000, "--r", "2", "--format", "json"), "descents-r2-n1000.json"),
+        (("graph", 200, "--kind", "total", "--format", "json"), "graph-total-n200.json"),
+    ])
+    def test_output_pinned(self, capsys, argv, name):
+        command, n, *flags = argv
+        expected = (self.EXPECTED / name).read_bytes()
+        if name.endswith(".gz"):
+            expected = gzip.decompress(expected)
+        assert run_cli(capsys, command, self.word(n), *flags) == (0, expected.decode(), "")
+
+    def test_reconstruct_pinned(self, capsys):
+        # the set file is the pinned r = 1 descent set, so the output is the word
+        path = self.EXPECTED / "descents-r1-n1000.json"
+        expected = (self.EXPECTED / "reconstruct-n1000.txt").read_text()
+        assert expected == self.word(1000) + "\n"
+        assert run_cli(capsys, "reconstruct", "1000", str(path)) == (0, expected, "")
 
 
 class TestExtremal:
@@ -637,14 +674,35 @@ class TestVerify:
         real = bruhat._down_pairs_word
         monkeypatch.setattr(bruhat, "_down_pairs_word",
                             lambda w: real(w)[1:] if len(w) == 5 else real(w))
-        # the descent sets of S_5 lose a member too, which reconstruct would refuse
-        monkeypatch.setattr(verification, "reconstruct", lambda n, descents: None)
         first = next(p for n in range(2, 7) for p in iter_permutations(n)
                      if not stats.check_increment_lemma(p))
         opts = verification.VerifyOptions(max_n=6, sampled_n=(), samples=10, jobs=jobs)
         assert verification._exhaustive_pass(opts)["increment"] == (
             f"increment identity fails for {first}")
         assert multiprocessing.active_children() == []
+
+    def test_a_refused_reconstruction_fails_its_own_line_only(self, monkeypatch):
+        # the descent sets of S_5 lose a member, which reconstruct refuses as
+        # unrealizable: that is a failure of the round trip, not a crash of
+        # the pass, so every line still names its first failing permutation
+        real = bruhat._down_pairs_word
+        monkeypatch.setattr(bruhat, "_down_pairs_word",
+                            lambda w: real(w)[1:] if len(w) == 5 else real(w))
+        opts = verification.VerifyOptions(max_n=6, sampled_n=(), samples=10)
+        report = {res.name: res for res in verification.run_all(opts)}
+        assert not any(res.detail.startswith("error:") for res in report.values())
+        cover = report["cover-criterion-vs-length-oracle"]
+        assert not cover.passed
+        assert re.fullmatch(r"covered_by\(\[[1-5](,[1-5]){4}\]\) wrong", cover.detail)
+        rebuilt = report["reconstruction-round-trip"]
+        assert not rebuilt.passed
+        assert re.fullmatch(r"(round trip fails for|reconstruct refuses the descent set of) "
+                            r"\[[1-5](,[1-5]){4}\]", rebuilt.detail)
+        # the sampled round trips fail alike
+        monkeypatch.setattr(bruhat, "_down_pairs_word",
+                            lambda w: real(w)[1:] if len(w) == 20 else real(w))
+        assert verification._reconstruction_block((20, 0, 0, 5)) == (
+            False, "reconstruct refuses the descent set of a sample at n=20")
 
     @pytest.mark.parametrize("broken", [False, True])
     def test_pass_blocks_merge_alike_at_any_size_and_jobs(self, monkeypatch, broken):
