@@ -56,13 +56,13 @@ from .perm import (Permutation, identity, longest_decreasing_subsequence, longes
 T = TypeVar("T")
 
 # the largest n of the per-permutation checks, whatever --max-n says above it:
-# verify --max-n 8 --jobs 2 took 22-25 s on 2 cores; S_9 has 9 times as many permutations
+# verify --max-n 8 --jobs 2 took 14-16 s on 2 cores; S_9 has 9 times as many permutations
 MAX_PASS_N = 8
 # the most permutations in one shared block, exhaustive or sampled
 _BLOCK = 2000
 
 # the largest --sampled-n size: the sweep's tables per sample grow as n^2 (one
-# sample took 5.2 s and 138 MB max RSS at n = 1000, 24 s and 451 MB at 2000)
+# sample took 2.0 s and 125 MB max RSS at n = 1000, 9.3 s and 396 MB at 2000)
 MAX_SAMPLED_N = 2000
 
 EXAMPLE_PERM = (7, 9, 5, 2, 3, 8, 4, 1, 6)
@@ -608,12 +608,6 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, str]:
         between = counts[invpairs]
         inv_count = int(invpairs.sum())
 
-        # triangle-freeness of the r=1 graph via boolean matrix product
-        adj1 = invpairs & (counts == 0)
-        adj1 = adj1 | adj1.T
-        if np.any((adj1 @ adj1) & adj1):
-            record("triangle_free", f"triangle at sample {idx} of n={n}")
-
         # degrees for every r at once
         degs = np.cumsum(np.bincount(between, minlength=n))  # degs[c] = #pairs with count <= c
         for r in range(1, n):
@@ -623,29 +617,32 @@ def _structural_block(args: tuple[int, int, int, int]) -> dict[str, str]:
         if int(degs[n - 2]) != inv_count or p.inversion_number() != inv_count:
             record("top_order", f"top-order degree mismatch at sample {idx}")
 
-        # minimal vertex degree in the total-degree graph
-        adj_total = (counts == 0) & (upper | upper.T)
-        adj_total = adj_total | adj_total.T
-        if int(adj_total.sum(axis=1).min()) > n // 2 + 1:
+        # minimal vertex degree in the total-degree graph, each a < b pair
+        # of between count 0 counted at both endpoints
+        zero = upper & (counts == 0)
+        if int((zero.sum(axis=0) + zero.sum(axis=1)).min()) > n // 2 + 1:
             record("min_degree", f"minimum degree too large at sample {idx}")
 
-        # clique-freeness: search small r directly, cap the rest by the
+        # clique-freeness: search small r directly, r = 1 at every LDS, whose
+        # K_3 search decides triangle-freeness too; cap the rest by the
         # longest decreasing subsequence via the full inversion graph
         lds = longest_decreasing_subsequence(p)
-        for r in list(range(1, max(lds - 1, 1))) + [n - 1]:
+        for r in list(range(1, max(lds - 1, 2))) + [n - 1]:
             sel = invpairs & (counts < r)
             g = _graph_from_bool(n, sel | sel.T)
             k = (r + 2) if r < n - 1 else (lds + 1)
             if g.has_clique(k):
                 record("clique_free", f"K_{k} found at sample {idx}, r={r}")
+                if r == 1:
+                    record("triangle_free", f"triangle at sample {idx} of n={n}")
                 break
 
         # spot-check the fast path against the production descent sets
         if index == 0 and idx < _SPOT_CHECKS:
             for r in (1, 2, n // 2, n - 1):
-                sel = invpairs & (counts < r)
-                fast = {(int(a) + 1, int(b) + 1) for a, b in np.argwhere(sel)}
-                if fast != set(bruhat.strong_descent_set(p, r).pairs()):
+                a, b = np.nonzero(invpairs & (counts < r))  # row-major, so in (a, b) order
+                fast = list(zip((a + 1).tolist(), (b + 1).tolist()))
+                if fast != bruhat.strong_descent_set(p, r).pairs():
                     for key in _SWEEP_KEYS:
                         record(key, f"fast path disagrees with descent sets at r={r}")
                     break

@@ -35,6 +35,7 @@ from bruhat_degrees.perm import (
     longest_element,
 )
 from bruhat_degrees.reconstruct import reconstruct
+from bruhat_degrees.stats import down_degrees_batch
 from conftest import all_perms, shuffled
 
 EXAMPLE = Permutation([7, 9, 5, 2, 3, 8, 4, 1, 6])
@@ -369,6 +370,38 @@ class TestCoverSweep:
         word.reads = []
         _cover_pairs_word(word)
         assert word.reads == list(range(len(w) - 1, -1, -1))
+
+
+class TestExtremalFamiliesThroughPublicRoutes:
+    """The extremal words, whose degrees the paper gives in closed form,
+    through every public r = 1 route: a route that loses covers only on
+    words with many of them (a cap on the number of pairs, say) undercounts
+    here, where random words have too few covers to show it."""
+
+    @staticmethod
+    def ends_and_middle(family):
+        return [family[0], family[len(family) // 2], family[-1]]
+
+    @pytest.mark.parametrize("n", [40, 100, 255, 256])
+    def test_degrees_equal_the_formulas(self, n):
+        m = n * n // 4
+        downs, totals = extremal_down_permutations(n), extremal_total_permutations(n)
+        a, b = np.triu_indices(n, 1)
+        for p in self.ends_and_middle(downs):
+            assert down_degree(p) == total_degree(p).down == m, p
+            assert len(strong_descent_set(p, 1)) == len(_rth_pairs(p.values, 1)) == m, p
+        for p in self.ends_and_middle(totals):
+            assert total_degree(p).total == down_degree(p) + up_degree(p) == m + n - 2, p
+        for p in self.ends_and_middle(downs) + self.ends_and_middle(totals):
+            if n <= 100:  # one covered_by call takes most of a second at n = 256
+                assert (len(covered_by(p)), len(covers_of(p))) == (down_degree(p), up_degree(p))
+            counts, pos = between_counts(p)
+            hit = (pos[b + 1] < pos[a + 1]) & (counts[a, b] == 0)
+            assert int(hit.sum()) == down_degree(p), p
+        for family in (downs, totals):
+            W = np.array([p.values for p in family])
+            assert down_degrees_batch(W).tolist() == [down_degree(p) for p in family]
+            assert down_degrees_batch(n + 1 - W).tolist() == [up_degree(p) for p in family]
 
 
 class TestInverseRoute:

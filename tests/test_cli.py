@@ -3,6 +3,7 @@ import collections
 import contextlib
 import dataclasses
 import gzip
+import itertools
 import json
 import multiprocessing
 import os
@@ -502,6 +503,34 @@ class TestVerify:
             assert multiprocessing.active_children() == []
         assert reports[0] == reports[1] == [(line, False, detail)]
 
+    def test_a_triangle_in_the_sampled_tables_fails_the_sweep_lines(self, monkeypatch):
+        # each word's first decreasing triple c > b > a gets between count 0
+        # on its three a < b pairs, a triangle in the sweep's r = 1 graph;
+        # the clique search at r = 1 decides both r = 1 lines, and the spot
+        # check fails the lines that the table alone would pass
+        real = bruhat.between_counts
+
+        def with_triangle(p):
+            counts, pos = real(p)
+            triple = next((t for t in itertools.combinations(p.values, 3)
+                           if t[0] > t[1] > t[2]), None)
+            if triple:
+                c, b, a = triple
+                counts[[a - 1, a - 1, b - 1], [b - 1, c - 1, c - 1]] = 0
+            return counts, pos
+
+        monkeypatch.setattr(bruhat, "between_counts", with_triangle)
+        opts = verification.VerifyOptions(max_n=3, sampled_n=(12,), samples=20, jobs=1)
+        failed = [(r.name, r.detail) for r in verification.run_all(opts) if not r.passed]
+        fast = "fast path disagrees with descent sets at r=1"
+        assert failed == [
+            ("inverse-symmetry-of-descents", "degree mismatch for a sample at n=12, r=1"),
+            ("triangle-free-descent-graph", "triangle at sample 0 of n=12"),
+            ("clique-free-rth-descent-graph", "K_3 found at sample 0, r=1"),
+            ("turan-bound-on-rth-degree", fast),
+            ("top-order-descents-equal-inversions", fast),
+            ("min-degree-bound-total-graph", fast)]
+
     def test_no_sample_is_drawn_in_the_main_process_above_one_job(self, monkeypatch):
         parent, real = os.getpid(), verification._draw
 
@@ -618,9 +647,12 @@ class TestVerify:
                 assert "n<=4" in detail, name
         # the help states the bound that those lines read
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        help_text = next(action.help for action in sub.choices["verify"]._actions
-                         if "--max-n" in action.option_strings)
-        assert f"up to it or {v.MAX_PASS_N}," in help_text
+        helps = {flag: action.help for action in sub.choices["verify"]._actions
+                 for flag in action.option_strings}
+        assert f"up to it or {v.MAX_PASS_N}," in helps["--max-n"]
+        # the CLI does not import verification at parse time, so it writes
+        # the --sampled-n bound by hand
+        assert f"3 to {MAX_SAMPLED_N}" in helps["--sampled-n"]
 
     def test_pass_reaches_a_defect_of_s_8_alone(self, monkeypatch):
         # the scan drops its last pair at n = 8, r = 3 only
